@@ -1,6 +1,6 @@
 """Extension bench: scaling of the sharded parallel engine.
 
-Three questions about ``repro.runtime.parallel``:
+Two questions about ``repro.runtime.parallel``:
 
 1. What does sharding buy on wall-clock?  Serial ``tile_spgemm`` vs
    ``parallel_tile_spgemm`` at 2 and 4 workers (thread pool) on the ext
@@ -9,25 +9,20 @@ Three questions about ``repro.runtime.parallel``:
    instead of the whole candidate space.
 2. Is the parallel result exact?  Every parallel run here is checked
    byte-identical to its serial counterpart before timing is reported.
-3. What does the batching front end buy?  ``spgemm_batch`` over repeated
-   operands vs the same multiplies issued one by one, where the tile
-   cache converts each distinct operand once.
 
 ``REPRO_BENCH_MAX_MATRICES`` caps the sweep for smoke runs.
 """
 
 import time
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import fig6_matrix_cap, save_and_print, save_series_json, tiled_of
-from repro.analysis import format_table, geometric_mean
+from repro.analysis import format_table
 from repro.bench.schema import make_series
 from repro.core import tile_spgemm
 from repro.matrices import representative_18
-from repro.runtime.parallel import parallel_tile_spgemm, spgemm_batch
-from repro.runtime.tilecache import reset_tile_cache
+from repro.runtime.parallel import parallel_tile_spgemm
 
 #: Worker counts swept against the serial baseline.
 WORKER_COUNTS = (2, 4)
@@ -90,40 +85,7 @@ def scaling_table():
     return table
 
 
-@pytest.fixture(scope="module")
-def batch_table():
-    """spgemm_batch over repeated operands vs one-by-one serial calls."""
-    from repro.baselines import get_algorithm
-
-    plain = get_algorithm("tilespgemm")  # tiles its CSR operands every call
-    specs = _suite()[:3]
-    reps = 4  # each matrix multiplied this many times -> cache hits
-    table = {}
-    for spec in specs:
-        a = spec.matrix()
-        pairs = [(a, a)] * reps
-        reset_tile_cache()
-        one_by_one = _best_of(
-            lambda: [plain(a, a) for _ in range(reps)], repeats=3
-        )
-        cache = reset_tile_cache()
-        spgemm_batch(pairs, workers=2)  # warm the cache once
-        warm_stats = cache.stats()
-        batched = _best_of(lambda: spgemm_batch(pairs, workers=2), repeats=3)
-        table[spec.name] = {
-            "tasks": reps,
-            "one_by_one_s": one_by_one,
-            "batched_s": batched,
-            "speedup": one_by_one / batched if batched else 0.0,
-            # Conversions performed on the cold pass: 1 (operand tiled
-            # once, reps-1 hits) vs reps for the plain one-by-one path.
-            "cold_misses": warm_stats["misses"],
-            "cold_hits": warm_stats["hits"],
-        }
-    return table
-
-
-def test_parallel_scaling_report(benchmark, scaling_table, batch_table):
+def test_parallel_scaling_report(benchmark, scaling_table):
     rows = []
     for name, row in scaling_table.items():
         w2, w4 = row["workers"][2], row["workers"][4]
@@ -147,16 +109,6 @@ def test_parallel_scaling_report(benchmark, scaling_table, batch_table):
             "(thread pool, byte-identical output verified)"
         ),
     )
-    brows = [
-        [name, str(b["tasks"]), f"{b['one_by_one_s'] * 1e3:.2f}",
-         f"{b['batched_s'] * 1e3:.2f}", f"{b['speedup']:.2f}x"]
-        for name, b in batch_table.items()
-    ]
-    text += "\n\n" + format_table(
-        ["matrix", "tasks", "one-by-one ms", "spgemm_batch ms", "speedup"],
-        brows,
-        title="Extension: spgemm_batch with tile cache vs repeated serial calls",
-    )
     benchmark.pedantic(save_and_print, args=("ext_parallel", text), rounds=1, iterations=1)
 
     series = []
@@ -173,15 +125,6 @@ def test_parallel_scaling_report(benchmark, scaling_table, batch_table):
                            "workers": workers},
                 )
             )
-    for name, b in batch_table.items():
-        series.append(
-            make_series(
-                name, "spgemm_batch", "aa",
-                wall_seconds=[b["batched_s"]],
-                extra={"tasks": b["tasks"], "one_by_one_s": b["one_by_one_s"],
-                       "speedup": b["speedup"]},
-            )
-        )
     save_series_json("ext_parallel", series, suite="ext_parallel", repeats=REPEATS)
 
 
@@ -197,17 +140,3 @@ def test_shape_parallel_never_catastrophic(scaling_table):
         for workers, w in row["workers"].items():
             assert w["speedup"] > 0.4, (name, workers, w["speedup"])
 
-
-def test_shape_batch_skips_retiling(batch_table):
-    """Repeated operands convert exactly once; the rest are cache hits.
-
-    The deterministic guarantee is counted conversions, not wall-clock —
-    on this class of matrix tiling is a small fraction of the multiply,
-    so the timing gain sits inside the host's process-to-process noise.
-    Wall-clock only has to stay in the same ballpark.
-    """
-    for name, b in batch_table.items():
-        assert b["cold_misses"] == 1, (name, b)  # one operand, tiled once
-        assert b["cold_hits"] == 2 * b["tasks"] - 1, (name, b)
-    speedups = [b["speedup"] for b in batch_table.values()]
-    assert geometric_mean(speedups) > 0.6, speedups

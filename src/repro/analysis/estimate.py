@@ -32,7 +32,7 @@ serving layers, so both can build on it without cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -53,26 +53,48 @@ DEFAULT_SAMPLE_ROWS = 64
 
 
 # --------------------------------------------------------------- row views
-def _csr_view(m):
-    """``(indptr, indices)`` row view of ``m`` (CSR or tiled).
+def _tile_coords(m) -> Tuple[np.ndarray, np.ndarray]:
+    """Global ``(rows, cols)`` of every stored element of tiled ``m``.
 
-    CSR operands are viewed in place.  Tiled operands reconstruct the
-    per-row column lists once, in O(nnz) vectorised work: element ``e``
-    of tile ``t`` in tile row ``r`` lives at global row
-    ``r * T + rowidx[e]`` and global column
-    ``tilecolidx[t] * T + colidx[e]``.
+    In storage order, O(nnz) vectorised: element ``e`` of tile ``t`` in
+    tile row ``r`` lives at global row ``r * T + rowidx[e]`` and global
+    column ``tilecolidx[t] * T + colidx[e]``.
     """
-    if hasattr(m, "indptr"):
-        return m.indptr, m.indices
-    tiles_per_row = np.diff(m.tileptr)
-    tile_row_of_tile = np.repeat(np.arange(m.num_tile_rows), tiles_per_row)
+    tile_row_of_tile = np.repeat(np.arange(m.num_tile_rows), np.diff(m.tileptr))
     elem_tile = np.repeat(np.arange(m.num_tiles), np.diff(m.tilennz))
     rows = tile_row_of_tile[elem_tile] * m.tile_size + m.rowidx.astype(np.int64)
     cols = m.tilecolidx[elem_tile].astype(np.int64) * m.tile_size + m.colidx
+    return rows, cols
+
+
+def _csr_view(m):
+    """``(indptr, indices)`` row view of ``m`` (CSR or tiled).
+
+    CSR operands are viewed in place; tiled operands sort the
+    :func:`_tile_coords` of their elements into row order once.
+    """
+    if hasattr(m, "indptr"):
+        return m.indptr, m.indices
+    rows, cols = _tile_coords(m)
     order = np.argsort(rows, kind="stable")
     indptr = np.zeros(m.shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=m.shape[0]), out=indptr[1:])
     return indptr, cols[order]
+
+
+def _total_products(a, b) -> int:
+    """``sum_k nnz(a_*k) * nnz(b_k*)`` for CSR or tiled operands.
+
+    A gather of B's per-row counts at A's column indices, summed: the
+    total needs no row order, so tiled operands skip :func:`_csr_view`'s
+    sort.
+    """
+    if hasattr(b, "indptr"):
+        b_rows = np.diff(b.indptr).astype(np.int64)
+    else:
+        b_rows = np.bincount(_tile_coords(b)[0], minlength=b.shape[0])
+    a_cols = a.indices if hasattr(a, "indices") else _tile_coords(a)[1]
+    return int(b_rows[a_cols].sum()) if a_cols.size else 0
 
 
 def _tile_size_of(m, tile_size: Optional[int]) -> int:

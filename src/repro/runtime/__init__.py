@@ -11,8 +11,7 @@ The production-facing wrapper around the SpGEMM engines:
 * :mod:`repro.runtime.policy` — retry/backoff/fallback engine
   (:func:`run_resilient`) returning a :class:`ResilienceReport`;
 * :mod:`repro.runtime.parallel` — sharded execution on a thread or
-  process pool (:func:`parallel_tile_spgemm`, :func:`spgemm_batch`),
-  byte-identical to serial;
+  process pool (:func:`parallel_tile_spgemm`), byte-identical to serial;
 * :mod:`repro.runtime.planner` — estimation-driven execution planning
   (:func:`plan_execution` → :class:`ExecutionPlan`): worker count,
   cost-weighted shard bounds, accumulator threshold and backend derived
@@ -69,7 +68,6 @@ __all__ = [
     "backoff_wait",
     "run_resilient",
     "parallel_tile_spgemm",
-    "spgemm_batch",
     "resolve_workers",
     "resolve_executor",
     "TileCache",
@@ -95,7 +93,6 @@ _LAZY = {
     "backoff_wait": "repro.runtime.policy",
     "run_resilient": "repro.runtime.policy",
     "parallel_tile_spgemm": "repro.runtime.parallel",
-    "spgemm_batch": "repro.runtime.parallel",
     "resolve_workers": "repro.runtime.parallel",
     "resolve_executor": "repro.runtime.parallel",
     "TileCache": "repro.runtime.tilecache",

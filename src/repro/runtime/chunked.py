@@ -17,19 +17,37 @@ partition the candidate tiles in tile-row order, every per-tile array is
 produced in the same global order, and the numeric phase performs the same
 accumulations per tile.  The property-based tests assert exact equality of
 every structural array and of the values.
+
+**Shard recovery.**  The same independence makes a failed shard cheap to
+recover, and :class:`ShardLedger` is the one place that decides how.
+Chunked re-execution (an inline loop), the parallel engine
+(:mod:`repro.runtime.parallel`, futures) and the serving tier
+(:mod:`repro.serve.service`, asyncio) are thin front ends over it: they
+take pending tile-row ranges, run them through the shared shard body,
+and report each outcome back.  A shard that blows its budget is halved
+with :func:`batch_bounds` and both halves are requeued, the progressive
+re-allocation of Liu & Vinter (PAPERS.md, arXiv:1504.05022); a transient
+kernel fault is requeued while retries remain; a broken pool is replaced
+while replacements remain.  A one-tile-row shard that still OOMs, or a
+spent limit, re-raises the original typed error for the front end's
+terminal mapping.  See ``docs/RESILIENCE.md``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+import time
+from collections import deque
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.tile_matrix import TileMatrix
 from repro.core.tilespgemm import TileSpGEMMResult, tile_spgemm
-from repro.errors import InvalidInputError
+from repro.errors import DeviceOOMError, InvalidInputError, TransientKernelError
 from repro.obs.context import current_obs
 from repro.obs.profile import current_row_offset, profile_row_offset
+from repro.obs.propagate import _worker_track, run_with_worker_obs
 from repro.util.alloc import AllocationTracker
 from repro.util.timing import PhaseTimer
 
@@ -39,7 +57,14 @@ __all__ = [
     "validate_bounds",
     "stitch_results",
     "chunked_tile_spgemm",
+    "ShardLedger",
 ]
+
+#: ``(r0, r1, retries)``: a pending tile-row range and its retry count.
+Shard = Tuple[int, int, int]
+
+#: Actions :meth:`ShardLedger.failed` asks its caller to carry out.
+SPLIT, RETRY, REPLACE = "split", "retry", "replace"
 
 #: Stats entries that are scalar totals, summed across batches.
 _SCALAR_KEYS = (
@@ -144,6 +169,127 @@ def validate_bounds(bounds: np.ndarray, num_tile_rows: int) -> None:
         )
 
 
+class ShardLedger:
+    """Sans-I/O state of one sharded multiply: what is left, what is done.
+
+    Holds the pending ``(r0, r1, retries)`` ranges, the finished results
+    keyed by ``r0``, and the recovery counters.  Front ends :meth:`take`
+    a shard, run it, and hand the outcome to :meth:`done` or
+    :meth:`failed`; the ledger itself never runs, waits or logs anything.
+
+    Parameters
+    ----------
+    bounds:
+        Initial tile-row boundaries (as from :func:`batch_bounds`).
+    max_retries:
+        Transient-fault retries per shard (reset when a shard splits).
+    max_replacements:
+        Broken pools the caller may replace over the whole run.
+    """
+
+    def __init__(self, bounds, max_retries: int = 0, max_replacements: int = 0) -> None:
+        self.pending: Deque[Shard] = deque(
+            (int(bounds[k]), int(bounds[k + 1]), 0) for k in range(len(bounds) - 1)
+        )
+        self.results: Dict[int, Tuple[int, object]] = {}
+        self.max_retries = int(max_retries)
+        self.max_replacements = int(max_replacements)
+        self.shards_run = 0
+        self.resplits = 0
+        self.retries = 0
+        self.pool_replacements = 0
+
+    def take(self) -> Shard:
+        """The next pending shard (tile-row order, requeued shards first)."""
+        return self.pending.popleft()
+
+    def done(self, shard: Shard, result) -> None:
+        """Record a finished shard's result."""
+        self.results[shard[0]] = (shard[1], result)
+        self.shards_run += 1
+
+    def failed(self, shard: Shard, exc: BaseException) -> str:
+        """Decide a failed shard's fate; returns :data:`SPLIT`,
+        :data:`RETRY` or :data:`REPLACE`, or re-raises ``exc``.
+
+        ``REPLACE`` means the caller must swap its pool before running
+        the requeued shard.  Any other error type, a one-tile-row shard
+        that still OOMs, and a spent limit re-raise ``exc`` unchanged.
+        """
+        r0, r1, retries = shard
+        if isinstance(exc, DeviceOOMError) and r1 - r0 > 1:
+            mid = r0 + int(batch_bounds(r1 - r0, 2)[1])
+            self.pending.extendleft([(mid, r1, 0), (r0, mid, 0)])
+            self.resplits += 1
+            return SPLIT
+        if isinstance(exc, TransientKernelError) and retries < self.max_retries:
+            self.pending.appendleft((r0, r1, retries + 1))
+            self.retries += 1
+            return RETRY
+        broken = isinstance(exc, BrokenExecutor)
+        if broken and self.pool_replacements < self.max_replacements:
+            self.pending.appendleft(shard)
+            self.pool_replacements += 1
+            return REPLACE
+        raise exc
+
+    def pieces(self) -> List[Tuple[int, int, object]]:
+        """Finished ``(r0, r1, result)`` in tile-row order, ready to stitch."""
+        return [(r0, *self.results[r0]) for r0 in sorted(self.results)]
+
+
+def _run_shard(a_shard: TileMatrix, b: TileMatrix, opts: Dict[str, object]):
+    """The shard body every front end runs: ``tile_spgemm`` keeping empty
+    tiles for the order-preserving stitch."""
+    res = tile_spgemm(a_shard, b, keep_empty_tiles=True, **opts)
+    # The stitch never reads these; they pin large intermediates and
+    # dominate the pickling cost on a process pool.
+    res.pairs = None
+    res.symbolic = None
+    return res
+
+
+# A process pool made with ``b`` ships it and the options once, through
+# the initializer, so each task pickles only its A shard.
+_POOL_B: Optional[TileMatrix] = None
+_POOL_OPTS: Dict[str, object] = {}
+
+
+def _prime_worker(b: TileMatrix, opts: Dict[str, object]) -> None:
+    global _POOL_B, _POOL_OPTS
+    _POOL_B, _POOL_OPTS = b, opts
+
+
+def _make_pool(executor: str, workers: int, mp_context=None, b=None, opts=None):
+    """The pool factory of the parallel engine and the serving tier."""
+    if executor == "process":
+        return ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=mp_context,
+            initializer=None if b is None else _prime_worker,
+            initargs=() if b is None else (b, opts),
+        )
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-shard")
+
+
+def _shard_task(run_fn, a_shard, b, opts, ctx=None, token=None):
+    """Pool-side shard call: ``(result, start, seconds, track, telemetry)``.
+
+    ``b=None`` reads ``b`` and the options a primed process worker holds.
+    ``run_fn=None`` runs :func:`_run_shard`.  ``token`` (a thread pool's
+    cancel flag) is checked before any work starts.  ``telemetry`` is the
+    worker-recorded :class:`~repro.obs.propagate.WorkerTelemetry`, or
+    ``None`` for an untraced call (``ctx is None``).
+    """
+    if token is not None:
+        token.raise_if_set()
+    if b is None:
+        b, opts = _POOL_B, _POOL_OPTS
+    start = time.perf_counter()
+    res, telemetry = run_with_worker_obs(ctx, run_fn or _run_shard, a_shard, b, opts)
+    return res, start, time.perf_counter() - start, _worker_track(), telemetry
+
+
 def chunked_tile_spgemm(
     a: TileMatrix,
     b: TileMatrix,
@@ -179,9 +325,19 @@ def chunked_tile_spgemm(
     Returns
     -------
     TileSpGEMMResult
-        With ``stats["batches"]`` recording the batch count, a merged
-        phase timer, and a merged ledger whose peak is the maximum
+        With ``stats["batches"]`` recording the stitched batch count, a
+        merged phase timer, and a merged ledger whose peak is the maximum
         per-batch peak (batch buffers are freed at each batch boundary).
+
+    Raises
+    ------
+    DeviceOOMError
+        When a one-tile-row batch still blows the budget.  Larger
+        batches that OOM are halved and rerun (:class:`ShardLedger`),
+        so ``stats["batches"]`` can exceed ``num_batches``.
+    TransientKernelError
+        At once: chunked re-execution does not retry (the caller's
+        :func:`~repro.runtime.policy.run_resilient` does).
     """
     if a.tile_size != b.tile_size:
         raise InvalidInputError("A and B must use the same tile size")
@@ -212,36 +368,37 @@ def chunked_tile_spgemm(
     obs = current_obs()
     if bounds is None:
         bounds = batch_bounds(num_tile_rows, num_batches)
-    batch_results: List[TileSpGEMMResult] = []
+    ledger = ShardLedger(bounds)
+    opts = dict(kwargs, budget_bytes=budget_bytes, fault_plan=fault_plan)
     with obs.tracer.span(
         "chunked_tile_spgemm", cat="chunked", batches=num_batches
     ):
-        for k in range(num_batches):
-            r0, r1 = int(bounds[k]), int(bounds[k + 1])
+        while ledger.pending:
+            shard = ledger.take()
+            r0, r1, _ = shard
             a_k = slice_tile_rows(a, r0, r1)
-            with obs.tracer.span(
-                f"batch {k + 1}/{num_batches}",
-                cat="chunked.batch",
-                tile_rows=[r0, r1],
-            ):
-                # Batches are 0-based slices of A's tile rows; rebase the
-                # workload profiler so band attribution stays global (a
-                # chunked run nested under a shard composes both offsets).
-                with profile_row_offset(current_row_offset() + r0):
-                    batch_results.append(
-                        tile_spgemm(
-                            a_k,
-                            b,
-                            keep_empty_tiles=True,
-                            budget_bytes=budget_bytes,
-                            fault_plan=fault_plan,
-                            **kwargs,
-                        )
-                    )
+            try:
+                with obs.tracer.span(
+                    f"batch rows [{r0}, {r1})",
+                    cat="chunked.batch",
+                    tile_rows=[r0, r1],
+                ):
+                    # Batches are 0-based slices of A's tile rows; rebase
+                    # the workload profiler so band attribution stays
+                    # global (a chunked run nested under a shard composes
+                    # both offsets).
+                    with profile_row_offset(current_row_offset() + r0):
+                        piece = _run_shard(a_k, b, opts)
+            except Exception as exc:
+                ledger.failed(shard, exc)  # splits on OOM, else re-raises
+                continue
+            ledger.done(shard, piece)
             if obs.enabled:
                 obs.metrics.inc("chunked_batches_total")
 
-    return stitch_results(batch_results, a, b, keep_empty_tiles)
+    return stitch_results(
+        [piece for _, _, piece in ledger.pieces()], a, b, keep_empty_tiles
+    )
 
 
 def stitch_results(

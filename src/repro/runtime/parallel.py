@@ -52,20 +52,24 @@ byte-identical *structure* with values inside the declared
 — sharding and stitching never add error of their own because chunk
 boundaries align with C tile rows.
 
-**Failure.**  A shard raising
-:class:`~repro.errors.TransientKernelError`, or the pool breaking
-outright, is handled by the :class:`~repro.runtime.policy.ParallelPolicy`:
-retry the shard, then fall back to the serial engine (or raise).  See
-``docs/PARALLEL.md``.
+**Failure.**  The engine drives a
+:class:`~repro.runtime.chunked.ShardLedger`, the recovery path it
+shares with chunked re-execution and the serving tier: a shard that
+blows its budget is halved and rerun on the pool, and a shard raising
+:class:`~repro.errors.TransientKernelError` is resubmitted up to
+:attr:`~repro.runtime.policy.ParallelPolicy.max_shard_retries` times.
+When retries run out, or the pool breaks outright, the
+:class:`~repro.runtime.policy.ParallelPolicy` falls back to the serial
+engine (or raises).  A one-tile-row shard that still OOMs raises
+:class:`~repro.errors.DeviceOOMError`.  See ``docs/PARALLEL.md``.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -75,13 +79,11 @@ from repro.core.tilespgemm import TileSpGEMMResult, _record_obs_metrics, tile_sp
 from repro.errors import ConfigurationError, InvalidInputError, TransientKernelError
 from repro.obs.context import current_obs
 from repro.obs.profile import current_row_offset
-from repro.obs.propagate import (
-    TraceContext,
-    absorb_telemetry,
-    new_trace_id,
-    run_with_worker_obs,
-)
+from repro.obs.propagate import TraceContext, absorb_telemetry, new_trace_id
 from repro.runtime.chunked import (
+    ShardLedger,
+    _make_pool,
+    _shard_task,
     batch_bounds,
     chunked_tile_spgemm,
     slice_tile_rows,
@@ -89,7 +91,6 @@ from repro.runtime.chunked import (
     validate_bounds,
 )
 from repro.runtime.policy import ParallelPolicy
-from repro.runtime.tilecache import get_tile_cache
 
 __all__ = [
     "ENV_WORKERS",
@@ -97,7 +98,6 @@ __all__ = [
     "resolve_workers",
     "resolve_executor",
     "parallel_tile_spgemm",
-    "spgemm_batch",
 ]
 
 #: Environment knobs consulted when the caller passes ``None``.
@@ -174,72 +174,15 @@ def resolve_executor(executor: Optional[str] = None) -> str:
     return executor
 
 
-# ----------------------------------------------------------------------
-# Worker-side task bodies
-# ----------------------------------------------------------------------
-# Process workers receive B and the shared options once, through the pool
-# initializer, so each task pickles only its A shard.
-_WORKER_B: Optional[TileMatrix] = None
-_WORKER_OPTS: Dict[str, object] = {}
-
-
-def _init_worker(b: TileMatrix, opts: Dict[str, object]) -> None:
-    global _WORKER_B, _WORKER_OPTS
-    _WORKER_B = b
-    _WORKER_OPTS = opts
-
-
-def _run_shard(
-    a_shard: TileMatrix,
-    b: TileMatrix,
-    opts: Dict[str, object],
-    ctx: Optional[TraceContext] = None,
-):
-    """One shard's multiply, timed with the system-wide monotonic clock.
-
-    Returns ``(result, start, end, track, telemetry)`` where ``track``
-    names the worker (thread name or worker PID) for the per-shard trace
-    span and ``telemetry`` is the worker-recorded
-    :class:`~repro.obs.propagate.WorkerTelemetry` (``None`` when the run
-    is untraced, i.e. ``ctx is None``).  ``pairs``/``symbolic`` are
-    dropped: the stitch never reads them and they dominate the pickling
-    cost on the process pool.
-    """
-
-    def _body():
-        res = tile_spgemm(a_shard, b, keep_empty_tiles=True, **opts)
-        res.pairs = None
-        res.symbolic = None
-        return res
-
-    start = time.perf_counter()
-    res, telemetry = run_with_worker_obs(ctx, _body)
-    dur = time.perf_counter() - start
-    if _WORKER_B is not None:  # a process-pool worker
-        track = f"worker-pid-{os.getpid()}"
-    else:
-        track = threading.current_thread().name
-    return res, start, dur, track, telemetry
-
-
-def _run_shard_in_process(a_shard: TileMatrix, ctx: Optional[TraceContext] = None):
-    return _run_shard(a_shard, _WORKER_B, _WORKER_OPTS, ctx)
-
-
-def _run_pair_in_process(pair: Tuple[TileMatrix, TileMatrix]):
-    a, b = pair
-    res = tile_spgemm(a, b, **_WORKER_OPTS)
-    res.pairs = None
-    res.symbolic = None
+def _with_plan(res: TileSpGEMMResult, plan_dict: Optional[Dict[str, object]]):
+    """Attach the plan record to ``res`` and land it in the ambient
+    workload profiler (if live)."""
+    if plan_dict is not None:
+        res.stats["plan"] = plan_dict
+        profile = getattr(current_obs(), "profile", None)
+        if getattr(profile, "enabled", False):
+            profile.record_plan(plan_dict)
     return res
-
-
-def _record_plan(plan_dict: Dict[str, object]) -> None:
-    """Land the plan record in the ambient workload profiler (if live)."""
-    obs = current_obs()
-    profile = getattr(obs, "profile", None)
-    if getattr(profile, "enabled", False):
-        profile.record_plan(plan_dict)
 
 
 # ----------------------------------------------------------------------
@@ -290,8 +233,9 @@ def parallel_tile_spgemm(
         retries and the serial fallback (defaults apply when ``None``).
     budget_bytes, fault_plan:
         Forwarded to every shard explicitly — pool workers inherit no
-        ambient context.  On the process pool the fault plan is pickled
-        per worker, so its counters advance independently per process.
+        ambient context.  A shard over the budget is halved and rerun.
+        On the process pool the fault plan is pickled per worker, so its
+        counters advance independently per process.
     keep_empty_tiles:
         As for ``tile_spgemm``; applied to the merged matrix.
     backend:
@@ -312,8 +256,9 @@ def parallel_tile_spgemm(
     Returns
     -------
     TileSpGEMMResult
-        With ``stats["shards"]``, ``stats["workers"]`` and
-        ``stats["executor"]`` describing the pool, and
+        With ``stats["shards"]`` (the stitched piece count),
+        ``stats["workers"]`` and ``stats["executor"]`` describing the
+        pool, and
         ``stats["parallel_fallback"]`` set when a worker failure forced
         the serial fallback.
     """
@@ -377,7 +322,9 @@ def parallel_tile_spgemm(
                 fault_plan=fault_plan,
                 **kwargs,
             )
-            res.stats.update(shards=num_shards, workers=1, executor="chunked")
+            res.stats.update(
+                shards=res.stats["batches"], workers=1, executor="chunked"
+            )
         else:
             res = tile_spgemm(
                 a,
@@ -388,33 +335,25 @@ def parallel_tile_spgemm(
                 **kwargs,
             )
             res.stats.update(shards=1, workers=1, executor="serial")
-        if plan_dict is not None:
-            res.stats["plan"] = plan_dict
-            _record_plan(plan_dict)
-        return res
+        return _with_plan(res, plan_dict)
 
-    opts = dict(kwargs)
-    opts["budget_bytes"] = budget_bytes
-    opts["fault_plan"] = fault_plan
+    opts = dict(kwargs, budget_bytes=budget_bytes, fault_plan=fault_plan)
     bounds = (
         plan_bounds
         if plan_bounds is not None
         else batch_bounds(num_tile_rows, num_shards)
     )
-    shard_inputs = [
-        slice_tile_rows(a, int(bounds[k]), int(bounds[k + 1]))
-        for k in range(num_shards)
-    ]
+    ledger = ShardLedger(bounds, max_retries=policy.max_shard_retries)
 
     obs = current_obs()
     # Trace propagation: when the tracer is live, every shard travels
     # with a TraceContext.  Span identity lives in span args; ids are
-    # pre-assigned here so the coordinator's after-the-fact shard spans
-    # and the worker-recorded spans link up in the merged trace.
+    # derived from the shard's first tile row, so the coordinator's
+    # after-the-fact shard spans and the worker-recorded spans link up in
+    # the merged trace however often a shard was split or retried.
     trace_live = bool(getattr(obs.tracer, "enabled", False))
     profile_live = bool(getattr(obs.profile, "enabled", False))
     ambient = obs.trace_ctx
-    shard_ctxs: Optional[List[TraceContext]] = None
     span_attrs: Dict[str, object] = {}
     parallel_span_id = ""
     trace_id = ""
@@ -430,15 +369,17 @@ def parallel_tile_spgemm(
                 "span_id": parallel_span_id,
                 "parent_span_id": ambient.parent_span_id if ambient is not None else "",
             }
-        row_base = current_row_offset()
-        shard_ctxs = [
-            TraceContext(
-                trace_id,
-                parent_span_id=f"{parallel_span_id}/shard{k}",
-                row_offset=row_base + int(bounds[k]),
-            )
-            for k in range(num_shards)
-        ]
+    row_base = current_row_offset()
+
+    def ctx_of(r0: int) -> Optional[TraceContext]:
+        if not (trace_live or profile_live):
+            return None  # untraced: no context travels
+        return TraceContext(
+            trace_id,
+            parent_span_id=f"{parallel_span_id}/shard{r0}",
+            row_offset=row_base + r0,
+        )
+
     with obs.tracer.span(
         "parallel_tile_spgemm",
         cat="parallel",
@@ -449,16 +390,7 @@ def parallel_tile_spgemm(
     ) as span:
         pool_t0 = time.perf_counter()
         try:
-            shard_outputs = _run_pool(
-                executor,
-                workers,
-                b,
-                opts,
-                shard_inputs,
-                policy,
-                ctxs=shard_ctxs,
-                mp_context=mp_context,
-            )
+            _run_pool(ledger, a, b, opts, executor, workers, mp_context, ctx_of)
         except (TransientKernelError, BrokenExecutor) as exc:
             if policy.on_worker_failure == "raise":
                 raise
@@ -488,26 +420,23 @@ def parallel_tile_spgemm(
             res.stats.update(
                 shards=1, workers=1, executor="serial", parallel_fallback=True
             )
-            if plan_dict is not None:
-                res.stats["plan"] = plan_dict
-                _record_plan(plan_dict)
-            return res
+            return _with_plan(res, plan_dict)
 
+        pieces = ledger.pieces()
         if obs.enabled:
             base = getattr(span, "start_s", 0.0) or 0.0
-            for k, (_, w_start, w_dur, track, telemetry) in enumerate(
-                shard_outputs
+            for k, (r0, r1, (_, w_start, w_dur, track, telemetry)) in enumerate(
+                pieces
             ):
-                r0, r1 = int(bounds[k]), int(bounds[k + 1])
                 link_attrs: Dict[str, object] = {}
                 if trace_live:
                     link_attrs = {
                         "trace_id": trace_id,
-                        "span_id": f"{parallel_span_id}/shard{k}",
+                        "span_id": f"{parallel_span_id}/shard{r0}",
                         "parent_span_id": parallel_span_id,
                     }
                 obs.tracer.add_complete(
-                    f"shard {k + 1}/{num_shards}",
+                    f"shard {k + 1}/{len(pieces)}",
                     base + max(w_start - pool_t0, 0.0),
                     w_dur,
                     pid="parallel",
@@ -534,200 +463,52 @@ def parallel_tile_spgemm(
                 )
 
     merged = stitch_results(
-        [out[0] for out in shard_outputs], a, b, keep_empty_tiles
+        [out[0] for _, _, out in pieces], a, b, keep_empty_tiles
     )
     merged.stats.update(
-        shards=num_shards,
+        shards=len(pieces),
         workers=workers,
         executor=executor,
         backend=backend_name,
         backend_tier=backend_tier(backend_name).value,
     )
-    if plan_dict is not None:
-        merged.stats["plan"] = plan_dict
-        _record_plan(plan_dict)
     if obs.enabled:
         obs.metrics.inc("parallel_runs_total", executor=executor)
-        obs.metrics.inc("parallel_shards_total", num_shards)
+        obs.metrics.inc("parallel_shards_total", len(pieces))
         obs.metrics.set_gauge("parallel_workers", workers)
         obs.metrics.inc(
             "parallel_shard_seconds_total",
-            sum(out[2] for out in shard_outputs),
+            sum(out[2] for _, _, out in pieces),
         )
         _record_obs_metrics(obs.metrics, merged.stats)
-    return merged
+    return _with_plan(merged, plan_dict)
 
 
-def _run_pool(
-    executor: str,
-    workers: int,
-    b: TileMatrix,
-    opts: Dict[str, object],
-    shard_inputs: List[TileMatrix],
-    policy: ParallelPolicy,
-    ctxs: Optional[List[TraceContext]] = None,
-    mp_context=None,
-):
-    """Submit every shard, collect results in shard order, retry per policy.
+def _run_pool(ledger, a, b, opts, executor, workers, mp_context, ctx_of) -> None:
+    """Drive ``ledger`` to completion on a fresh pool.
 
-    ``ctxs`` (one :class:`~repro.obs.propagate.TraceContext` per shard,
-    or ``None`` for an untraced run) rides along with each submission —
-    including retries, so a retried shard's spans still land under its
-    own shard span.  Raises the last shard error once retries are
-    exhausted, and :class:`~concurrent.futures.BrokenExecutor` as-is (a
-    broken pool cannot run retries) — the caller maps both onto the
-    fallback.
+    Every pending shard is sliced and submitted at once; each finished
+    future is reported back, and the ledger requeues what it can
+    recover.  A process pool is primed with ``b`` and the options once.
+    The ledger's re-raise (including the ``BrokenExecutor`` of a dead
+    pool, which this engine never replaces) leaves through the ``with``
+    block after the pool drains.
     """
-    if executor == "process":
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=mp_context,
-            initializer=_init_worker,
-            initargs=(b, opts),
-        )
-        submit = lambda k: pool.submit(
-            _run_shard_in_process, shard_inputs[k], ctxs[k] if ctxs else None
-        )
-    else:
-        pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-shard"
-        )
-        submit = lambda k: pool.submit(
-            _run_shard, shard_inputs[k], b, opts, ctxs[k] if ctxs else None
-        )
-
+    pool = _make_pool(executor, workers, mp_context, b, opts)
+    ship = (None, None) if executor == "process" else (b, opts)
+    running: Dict[Future, Tuple[int, int, int]] = {}
     with pool:
-        futures = [submit(k) for k in range(len(shard_inputs))]
-        outputs = []
-        for k, fut in enumerate(futures):
-            attempt = 0
-            while True:
+        while ledger.pending or running:
+            while ledger.pending:
+                shard = ledger.take()
+                a_shard = slice_tile_rows(a, shard[0], shard[1])
+                fut = pool.submit(_shard_task, None, a_shard, *ship, ctx_of(shard[0]))
+                running[fut] = shard
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for fut in done:
+                shard = running.pop(fut)
                 try:
-                    outputs.append(fut.result())
-                    break
-                except (InvalidInputError, BrokenExecutor):
-                    raise  # caller's bug / dead pool: retrying cannot help
-                except TransientKernelError:
-                    if attempt >= policy.max_shard_retries:
-                        raise
-                    attempt += 1
-                    fut = submit(k)
-    return outputs
+                    ledger.done(shard, fut.result())
+                except Exception as exc:
+                    ledger.failed(shard, exc)  # requeues, or re-raises
 
-
-# ----------------------------------------------------------------------
-# Batching front end
-# ----------------------------------------------------------------------
-def spgemm_batch(
-    pairs: Sequence[Tuple[object, object]],
-    workers: Optional[int] = None,
-    executor: Optional[str] = None,
-    policy: Optional[ParallelPolicy] = None,
-    tile_size: Optional[int] = None,
-    backend=None,
-    **kwargs,
-) -> List[TileSpGEMMResult]:
-    """Run many small multiplies on one pool, preserving input order.
-
-    The dual of sharding: instead of splitting one large multiply, each
-    ``(a, b)`` pair becomes one pool task — the natural shape for an AMG
-    setup phase (many small Galerkin products) or a batch of independent
-    graph contractions.  Results arrive in input order and each equals
-    its serial ``tile_spgemm(a, b, **kwargs)`` byte for byte.
-
-    Parameters
-    ----------
-    pairs:
-        ``(a, b)`` operand pairs; each operand may be a
-        :class:`~repro.core.tile_matrix.TileMatrix` or a CSR matrix.
-        CSR operands are tiled through the process-wide
-        :func:`~repro.runtime.tilecache.get_tile_cache`, so a matrix
-        appearing in several pairs is converted once.
-    workers, executor:
-        Pool configuration, resolved like
-        :func:`parallel_tile_spgemm` (``workers=1`` runs the batch
-        serially in order).
-    policy:
-        A :class:`~repro.runtime.policy.ParallelPolicy`; a task that
-        keeps failing after its retries is rerun serially on the
-        coordinating thread (or the error is raised, per
-        ``on_worker_failure``).
-    tile_size:
-        Tile size used when tiling CSR operands (default
-        :data:`~repro.core.tile_matrix.TILE`).
-    backend:
-        Kernel backend spec, resolved to a registry name on the
-        coordinator and forwarded to every task (like
-        :func:`parallel_tile_spgemm`).
-    **kwargs:
-        ``tile_spgemm`` options applied to every pair.
-    """
-    workers = resolve_workers(workers)
-    executor = resolve_executor(executor)
-    policy = policy or ParallelPolicy()
-    kwargs["backend"] = resolve_backend_name(backend)
-    cache = get_tile_cache()
-    ts = {} if tile_size is None else {"tile_size": tile_size}
-    tiled_pairs = [(cache.tile(a, **ts), cache.tile(b, **ts)) for a, b in pairs]
-
-    obs = current_obs()
-    if workers <= 1 or len(tiled_pairs) <= 1:
-        out = []
-        for a, b in tiled_pairs:
-            out.append(tile_spgemm(a, b, **kwargs))
-        return out
-
-    def _run_pair_local(pair):
-        a, b = pair
-        res = tile_spgemm(a, b, **kwargs)
-        res.pairs = None
-        res.symbolic = None
-        return res
-
-    if executor == "process":
-        pool = ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(None, kwargs)
-        )
-        submit = lambda pair: pool.submit(_run_pair_in_process, pair)
-    else:
-        pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-batch"
-        )
-        submit = lambda pair: pool.submit(_run_pair_local, pair)
-
-    with obs.tracer.span(
-        "spgemm_batch",
-        cat="parallel",
-        size=len(tiled_pairs),
-        workers=workers,
-        executor=executor,
-    ):
-        with pool:
-            futures = [submit(pair) for pair in tiled_pairs]
-            out = []
-            for k, fut in enumerate(futures):
-                attempt = 0
-                while True:
-                    try:
-                        out.append(fut.result())
-                        break
-                    except InvalidInputError:
-                        raise
-                    except (TransientKernelError, BrokenExecutor) as exc:
-                        broken = isinstance(exc, BrokenExecutor)
-                        if not broken and attempt < policy.max_shard_retries:
-                            attempt += 1
-                            fut = submit(tiled_pairs[k])
-                            continue
-                        if policy.on_worker_failure == "raise":
-                            raise
-                        if obs.enabled:
-                            obs.metrics.inc(
-                                "parallel_fallbacks_total", executor=executor
-                            )
-                        out.append(_run_pair_local(tiled_pairs[k]))
-                        break
-    if obs.enabled:
-        obs.metrics.inc("spgemm_batch_runs_total", executor=executor)
-        obs.metrics.inc("spgemm_batch_tasks_total", len(tiled_pairs))
-    return out

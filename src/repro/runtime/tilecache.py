@@ -12,8 +12,8 @@ CSR *content* — shape, tile size and the raw bytes of ``indptr`` /
 same entry regardless of object identity, while any numeric or structural
 change misses.  Entries are evicted least-recently-used once ``capacity``
 is exceeded.  The cache is thread-safe (one lock around the table), so
-the sharded parallel engine and :func:`~repro.runtime.parallel.spgemm_batch`
-can share the process-wide instance returned by :func:`get_tile_cache`.
+the apps layer and the serving tier (:mod:`repro.serve`) can share the
+process-wide instance returned by :func:`get_tile_cache`.
 
 Every lookup also reports to the ambient observability context when one
 is live: ``tilecache_hits_total`` / ``tilecache_misses_total`` /
@@ -160,7 +160,7 @@ _GLOBAL_LOCK = threading.Lock()
 
 
 def get_tile_cache() -> TileCache:
-    """The process-wide cache used by the apps layer and ``spgemm_batch``."""
+    """The process-wide cache used by the apps layer and the serving tier."""
     global _GLOBAL_CACHE
     with _GLOBAL_LOCK:
         if _GLOBAL_CACHE is None:

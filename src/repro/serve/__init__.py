@@ -44,7 +44,6 @@ from repro.serve.request import (
     outcome_for,
 )
 from repro.serve.service import LATENCY_BUCKETS, SpGEMMService
-from repro.serve.worker import WorkerBridge, default_run_shard
 
 __all__ = [
     "SpGEMMService",
@@ -64,8 +63,6 @@ __all__ = [
     "Deadline",
     "CancelToken",
     "ShardCancelled",
-    "WorkerBridge",
-    "default_run_shard",
     "LoadReport",
     "make_workload",
     "run_closed_loop",

@@ -19,6 +19,7 @@ from __future__ import annotations
 import asyncio
 from typing import Dict, List
 
+from repro.errors import InvalidInputError
 from repro.serve.request import ServeRequest
 
 __all__ = ["BoundedRequestQueue"]
@@ -29,7 +30,7 @@ class BoundedRequestQueue:
 
     def __init__(self, bound: int) -> None:
         if bound < 1:
-            raise ValueError(f"queue bound must be >= 1, got {bound}")
+            raise InvalidInputError(f"queue bound must be >= 1, got {bound}")
         self.bound = int(bound)
         self._q: "asyncio.Queue[ServeRequest]" = asyncio.Queue(maxsize=self.bound)
         self._by_tenant: Dict[str, int] = {}

@@ -11,7 +11,7 @@ The life of a request::
     submit ──▶ admission ──▶ bounded queue ──▶ shard loop ──▶ response
                  │ shed                            │
                  ▼                                 ├─ OOM: re-split the shard
-              response                             │   (batch_bounds) + requeue
+              response                             │   (ShardLedger) + requeue
               (typed error)                        ├─ transient: retry with
                                                    │   awaited seeded backoff
                                                    ├─ pool broken: replace the
@@ -19,16 +19,27 @@ The life of a request::
                                                    └─ deadline: cancel token,
                                                        typed error
 
-**Graceful degradation, not serialisation.**  A shard that blows its
-per-request budget is split with the same
-:func:`~repro.runtime.chunked.batch_bounds` boundary rule as chunked
-re-execution and both halves are *requeued to the pool* — the progressive
+**Graceful degradation, not serialisation.**  The shard loop drives the
+same :class:`~repro.runtime.chunked.ShardLedger` as chunked re-execution
+and the parallel engine: a shard that blows its per-request budget is
+halved and both halves are *requeued to the pool* — the progressive
 re-allocation scheme of Liu & Vinter's framework (PAPERS.md,
 arXiv:1504.05022) applied at the serving tier, keeping the request
-parallel instead of degrading it to the serial engine.  Because the
-stitch is order-preserving and the numeric phase chunks at C-tile
-boundaries, the served product is byte-identical to a serial
-``tile_spgemm`` run no matter how many re-splits it took.
+parallel instead of degrading it to the serial engine.  The loop adds
+only the serving-side I/O: awaited backoff, pool replacement, the
+deadline and the cancel token.  Because the stitch is order-preserving
+and the numeric phase chunks at C-tile boundaries, the served product is
+byte-identical to a serial ``tile_spgemm`` run no matter how many
+re-splits it took.
+
+**The pool.**  The event loop never runs a multiply: shards run on a
+:mod:`concurrent.futures` pool and are awaited.  ``executor="thread"``
+shares the resident ``B`` by reference; ``executor="process"`` pickles
+each shard's operands per call, and a worker killed mid-shard surfaces as
+a :class:`~concurrent.futures.BrokenExecutor`, which the ledger answers
+by replacing the pool.  Pool workers run with empty ambient context
+stacks, so a request's budget and fault plan reach its shards only as
+explicit options — one tenant's fault plan never leaks into another's.
 
 **Ordering.**  Responses resolve in submission order per tenant: each
 request chains on the previous one's gate, so a client iterating its
@@ -47,9 +58,9 @@ from __future__ import annotations
 
 import asyncio
 import time
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, Optional, Set, Tuple
+from concurrent.futures import BrokenExecutor
+from functools import partial
+from typing import Dict, Optional, Set, Tuple
 
 from repro.backend import ConformanceTier, backend_tier, resolve_backend_name
 from repro.core.tile_matrix import TileMatrix
@@ -64,7 +75,16 @@ from repro.errors import (
 from repro.obs.context import current_obs
 from repro.obs.propagate import TraceContext, absorb_telemetry, new_trace_id
 from repro.obs.slo import SLOPolicy, SLOTracker
-from repro.runtime.chunked import batch_bounds, slice_tile_rows, stitch_results
+from repro.runtime.chunked import (
+    RETRY,
+    SPLIT,
+    ShardLedger,
+    _make_pool,
+    _shard_task,
+    batch_bounds,
+    slice_tile_rows,
+    stitch_results,
+)
 from repro.runtime.policy import ParallelPolicy, RetryPolicy, backoff_wait
 from repro.runtime.tilecache import get_tile_cache
 from repro.serve.admission import AdmissionController
@@ -78,9 +98,9 @@ from repro.serve.request import (
     ServeResponse,
     outcome_for,
 )
-from repro.serve.worker import BrokenExecutor, WorkerBridge
 
 __all__ = ["SpGEMMService", "LATENCY_BUCKETS"]
+
 
 #: Histogram bounds for ``serve_latency_seconds`` (log-ish spacing from
 #: sub-millisecond cache hits to multi-second chunked recoveries).
@@ -89,14 +109,22 @@ LATENCY_BUCKETS: Tuple[float, ...] = (
 )
 
 
-@dataclass
-class _ExecStats:
-    """Recovery bookkeeping of one request's shard loop."""
-
-    shards_run: int = 0
-    resplits: int = 0
-    retries: int = 0
-    pool_replacements: int = 0
+def _exhausted_reason(req: ServeRequest, shard, exc: Exception) -> str:
+    """The ``exhausted`` message for a shard error the ledger gave up on."""
+    r0, r1, retries = shard
+    if isinstance(exc, DeviceOOMError):
+        return (
+            f"request {req.name}: tile-row shard [{r0}, {r1}) is over budget "
+            "and cannot split further"
+        )
+    if isinstance(exc, TransientKernelError):
+        return (
+            f"request {req.name}: shard [{r0}, {r1}) "
+            f"still failing after {retries} retries"
+        )
+    if isinstance(exc, BrokenExecutor):
+        return f"request {req.name}: worker pool broken (replacements exhausted)"
+    return f"request {req.name} failed outside the recovery ladder: {exc}"
 
 
 class SpGEMMService:
@@ -108,7 +136,7 @@ class SpGEMMService:
         Hard bound of the request queue; requests arriving at the bound
         are shed (or block, for ``backpressure="wait"`` submitters).
     workers:
-        Threads in the compute pool (>= 1).
+        Workers in the compute pool (>= 1).
     device:
         Optional :class:`~repro.gpu.device.DeviceModel`; its Table-1
         DRAM capacity becomes the admission budget and the default
@@ -147,10 +175,9 @@ class SpGEMMService:
         Requests executing concurrently (default: ``workers``).
     executor:
         ``"thread"`` (default) or ``"process"`` — the kind of compute
-        pool the :class:`~repro.serve.worker.WorkerBridge` owns.  With
-        ``"process"``, shard spans are still recorded where the work ran
-        and shipped back (see :mod:`repro.obs.propagate`); ``run_fn``
-        must then be a module-level (picklable) function.
+        pool.  With ``"process"``, shard spans are still recorded where
+        the work ran and shipped back (see :mod:`repro.obs.propagate`);
+        ``run_fn`` must then be a module-level (picklable) function.
     mp_context:
         Optional :mod:`multiprocessing` context for the process pool
         (e.g. ``get_context("spawn")``).
@@ -168,8 +195,9 @@ class SpGEMMService:
     clock:
         Monotonic clock injectable for queue/latency/deadline timing.
     run_fn:
-        Shard-body injectable forwarded to the
-        :class:`~repro.serve.worker.WorkerBridge` (fault-path tests).
+        Shard body ``(a_shard, b, opts) -> TileSpGEMMResult`` run on the
+        pool; ``None`` runs the engines' own.  Fault-path tests inject
+        faulty bodies here.
     """
 
     def __init__(
@@ -200,6 +228,12 @@ class SpGEMMService:
             raise InvalidInputError(
                 f"initial_shards must be >= 1, got {initial_shards}"
             )
+        if workers < 1:
+            raise InvalidInputError(f"workers must be >= 1, got {workers}")
+        if executor not in ("thread", "process"):
+            raise InvalidInputError(
+                f"executor must be 'thread' or 'process', got {executor!r}"
+            )
         if admission_budget_bytes is None and device is not None:
             admission_budget_bytes = device.dram_capacity_bytes
         if default_budget_bytes is None and device is not None:
@@ -212,9 +246,12 @@ class SpGEMMService:
             calibration=calibration,
         )
         self._queue = BoundedRequestQueue(max_queue_depth)
-        self._bridge = WorkerBridge(
-            workers=workers, run_fn=run_fn, executor=executor, mp_context=mp_context
-        )
+        self._workers = int(workers)
+        self._executor = executor
+        self._mp_context = mp_context
+        self._run_fn = run_fn
+        self._pool = _make_pool(self._executor, self._workers, mp_context)
+        self._pool_replacements = 0
         self._retry = retry_policy or RetryPolicy()
         self._parallel = parallel_policy or ParallelPolicy()
         self._max_pool_replacements = int(max_pool_replacements)
@@ -289,7 +326,7 @@ class SpGEMMService:
             except asyncio.CancelledError:
                 pass
             self._dispatcher = None
-        self._bridge.shutdown(wait=True)
+        self._pool.shutdown(wait=True)
         self._running = False
 
     async def __aenter__(self) -> "SpGEMMService":
@@ -465,13 +502,21 @@ class SpGEMMService:
             seq=req.seq,
             queue_s=start - req.submitted_s,
         )
-        stats = _ExecStats()
+        ledger = ShardLedger(
+            batch_bounds(req.a.num_tile_rows, self._initial_shards),
+            max_retries=self._retry.max_retries,
+            max_replacements=(
+                0
+                if self._parallel.on_worker_failure == "raise"
+                else self._max_pool_replacements
+            ),
+        )
         deadline = Deadline(req.deadline_s, clock=self._clock)
         # The deadline clock started at submission, not at dequeue.
         deadline._start = req.submitted_s
         try:
             deadline.check()  # queued past the deadline: no compute at all
-            c = await self._execute(req, deadline, stats)
+            c = await self._execute(req, deadline, ledger)
             outcome, error = OUTCOME_SERVED, None
         except (
             ServiceOverloadError,
@@ -499,10 +544,10 @@ class SpGEMMService:
             trace_id=req.trace_id,
             latency_s=now - req.submitted_s,
             queue_s=start - req.submitted_s,
-            shards_run=stats.shards_run,
-            resplits=stats.resplits,
-            retries=stats.retries,
-            pool_replacements=stats.pool_replacements,
+            shards_run=ledger.shards_run,
+            resplits=ledger.resplits,
+            retries=ledger.retries,
+            pool_replacements=ledger.pool_replacements,
         )
         self._record_response(resp, trace_t0)
         await self._deliver(req, resp)
@@ -520,47 +565,39 @@ class SpGEMMService:
 
     # ------------------------------------------------------------ execution
     async def _execute(
-        self, req: ServeRequest, deadline: Deadline, stats: _ExecStats
+        self, req: ServeRequest, deadline: Deadline, ledger: ShardLedger
     ) -> TileMatrix:
-        """The shard loop: schedule, recover, re-split, stitch."""
+        """The shard loop: drive the ledger on the pool, then stitch."""
         a, b = req.a, req.b
-        n = a.num_tile_rows
-        if n <= 0:
-            ranges: Deque[Tuple[int, int, int]] = deque([(0, 0, 0)])
-        else:
-            bounds = batch_bounds(n, min(self._initial_shards, n))
-            ranges = deque(
-                (int(bounds[k]), int(bounds[k + 1]), 0)
-                for k in range(len(bounds) - 1)
-            )
         opts = {
             "budget_bytes": req.budget_bytes,
             "fault_plan": req.fault_plan,
             "backend": self._backend_name,
         }
+        # The token wraps a threading.Event and cannot cross a process
+        # boundary; thread workers check it before a queued shard starts.
         token = CancelToken()
-        results: Dict[int, object] = {}
+        thread_token = token if self._executor == "thread" else None
         running: Dict[asyncio.Future, Tuple[int, int, int]] = {}
-        metrics = self._obs.metrics
-        log = self._obs.log
+        loop = asyncio.get_running_loop()
         # Shards travel with the request's trace identity; the worker
         # records real spans locally and ships them back with the result
-        # (None when tracing and profiling are both off — the bridge then
+        # (None when tracing and profiling are both off — the worker then
         # skips the harness).  The shard's start tile row rides along so
         # worker-side profiles attribute bands in whole-matrix coordinates.
-        trace_live = bool(getattr(self._obs.tracer, "enabled", False))
-        profile_live = bool(getattr(self._obs.profile, "enabled", False))
-        ctx_live = trace_live or profile_live
+        ctx_live = bool(getattr(self._obs.tracer, "enabled", False)) or bool(
+            getattr(self._obs.profile, "enabled", False)
+        )
 
         try:
-            while ranges or running:
+            while ledger.pending or running:
                 if deadline.expired():
                     raise DeadlineExceededError(
                         deadline.budget_s, deadline.elapsed()
                     )
-                while ranges:
-                    r0, r1, retries = ranges.popleft()
-                    shard = slice_tile_rows(a, r0, r1) if n > 0 else a
+                while ledger.pending:
+                    shard = ledger.take()
+                    r0, r1, _ = shard
                     shard_ctx = (
                         TraceContext(
                             req.trace_id,
@@ -570,102 +607,43 @@ class SpGEMMService:
                         if ctx_live
                         else None
                     )
-                    fut = asyncio.ensure_future(
-                        self._bridge.run(shard, b, opts, token, shard_ctx)
+                    call = partial(
+                        _shard_task,
+                        self._run_fn,
+                        slice_tile_rows(a, r0, r1),
+                        b,
+                        opts,
+                        shard_ctx,
+                        thread_token,
                     )
-                    running[fut] = (r0, r1, retries)
+                    running[loop.run_in_executor(self._pool, call)] = shard
                 done, _ = await asyncio.wait(
                     set(running),
                     timeout=deadline.remaining(),
                     return_when=asyncio.FIRST_COMPLETED,
                 )
                 for fut in done:
-                    r0, r1, retries = running.pop(fut)
+                    shard = running.pop(fut)
                     try:
-                        res, telemetry = fut.result()
-                        results[r0] = res
-                        stats.shards_run += 1
-                        # Worker spans join the request's timeline (epoch
-                        # = the service's trace zero) and worker counters
-                        # accumulate into the live registry — the service
-                        # never re-records merged stats itself.
-                        absorb_telemetry(
-                            self._obs.tracer,
-                            telemetry,
-                            epoch_s=self._epoch,
-                            metrics=metrics if telemetry else None,
-                            profile=self._obs.profile if telemetry else None,
-                            pid="serve.workers",
-                        )
+                        res, _, _, _, telemetry = fut.result()
                     except ShardCancelled:
-                        pass  # lost the race with a cancellation below
-                    except DeviceOOMError as exc:
-                        if r1 - r0 <= 1:
-                            raise ResilienceExhausted(
-                                f"request {req.name}: tile-row shard "
-                                f"[{r0}, {r1}) is over budget and cannot "
-                                "split further"
-                            ) from exc
-                        # Progressive re-split: halve the shard's tile-row
-                        # range with the chunking boundary rule and requeue
-                        # both halves — the request stays on the pool.
-                        sub = batch_bounds(r1 - r0, 2) + r0
-                        ranges.append((int(sub[0]), int(sub[1]), 0))
-                        ranges.append((int(sub[1]), int(sub[2]), 0))
-                        stats.resplits += 1
-                        metrics.inc("serve_resplits_total", tenant=req.tenant)
-                        log.emit(
-                            "shard_oom_resplit",
-                            trace_id=req.trace_id,
-                            tenant=req.tenant,
-                            seq=req.seq,
-                            tile_rows=[r0, r1],
-                            requested_bytes=exc.requested_bytes,
-                            budget_bytes=exc.budget_bytes,
-                        )
-                    except TransientKernelError as exc:
-                        if retries >= self._retry.max_retries:
-                            raise ResilienceExhausted(
-                                f"request {req.name}: shard [{r0}, {r1}) "
-                                f"still failing after {retries} retries"
-                            ) from exc
-                        wait = backoff_wait(self._retry, retries)
-                        stats.retries += 1
-                        metrics.inc("serve_retries_total", tenant=req.tenant)
-                        log.emit(
-                            "shard_retry",
-                            trace_id=req.trace_id,
-                            tenant=req.tenant,
-                            seq=req.seq,
-                            tile_rows=[r0, r1],
-                            retry=retries + 1,
-                            backoff_s=wait,
-                            error=type(exc).__name__,
-                        )
-                        await self._sleep(wait)  # awaited, never blocking
-                        ranges.append((r0, r1, retries + 1))
-                    except BrokenExecutor as exc:
-                        if (
-                            self._parallel.on_worker_failure == "raise"
-                            or stats.pool_replacements
-                            >= self._max_pool_replacements
-                        ):
-                            raise ResilienceExhausted(
-                                f"request {req.name}: worker pool broken "
-                                f"(replacements exhausted)"
-                            ) from exc
-                        self._bridge.replace_pool()
-                        stats.pool_replacements += 1
-                        metrics.inc("serve_pool_replacements_total")
-                        log.emit(
-                            "pool_replaced",
-                            trace_id=req.trace_id,
-                            tenant=req.tenant,
-                            seq=req.seq,
-                            tile_rows=[r0, r1],
-                            replacement=stats.pool_replacements,
-                        )
-                        ranges.append((r0, r1, retries))
+                        continue  # lost the race with a cancellation below
+                    except Exception as exc:
+                        await self._recover(req, ledger, shard, exc)
+                        continue
+                    ledger.done(shard, res)
+                    # Worker spans join the request's timeline (epoch =
+                    # the service's trace zero) and worker counters
+                    # accumulate into the live registry — the service
+                    # never re-records merged stats itself.
+                    absorb_telemetry(
+                        self._obs.tracer,
+                        telemetry,
+                        epoch_s=self._epoch,
+                        metrics=self._obs.metrics if telemetry else None,
+                        profile=self._obs.profile if telemetry else None,
+                        pid="serve.workers",
+                    )
         except BaseException:
             # Stop shards still queued on the pool, then collect every
             # in-flight future so no exception goes unretrieved.
@@ -674,10 +652,61 @@ class SpGEMMService:
                 await asyncio.gather(*running, return_exceptions=True)
             raise
 
-        metrics.inc("serve_shards_total", stats.shards_run, tenant=req.tenant)
-        ordered = [results[r0] for r0 in sorted(results)]
-        merged = stitch_results(ordered, a, b, keep_empty_tiles=True)
-        return merged.c
+        self._obs.metrics.inc(
+            "serve_shards_total", ledger.shards_run, tenant=req.tenant
+        )
+        pieces = [res for _, _, res in ledger.pieces()]
+        return stitch_results(pieces, a, b, keep_empty_tiles=True).c
+
+    async def _recover(
+        self, req: ServeRequest, ledger: ShardLedger, shard, exc: Exception
+    ) -> None:
+        """Carry out the ledger's decision on a failed shard.
+
+        The ledger requeues the shard (split, retry or replace); this
+        adds the serving-side I/O.  When the ledger re-raises, the
+        request terminates ``exhausted``.
+        """
+        r0, r1, retries = shard
+        try:
+            action = ledger.failed(shard, exc)
+        except Exception:
+            raise ResilienceExhausted(_exhausted_reason(req, shard, exc)) from exc
+        metrics, where = self._obs.metrics, {
+            "trace_id": req.trace_id,
+            "tenant": req.tenant,
+            "seq": req.seq,
+            "tile_rows": [r0, r1],
+        }
+        if action == SPLIT:
+            metrics.inc("serve_resplits_total", tenant=req.tenant)
+            self._obs.log.emit(
+                "shard_oom_resplit",
+                requested_bytes=exc.requested_bytes,
+                budget_bytes=exc.budget_bytes,
+                **where,
+            )
+        elif action == RETRY:
+            wait = backoff_wait(self._retry, retries)
+            metrics.inc("serve_retries_total", tenant=req.tenant)
+            self._obs.log.emit(
+                "shard_retry",
+                retry=retries + 1,
+                backoff_s=wait,
+                error=type(exc).__name__,
+                **where,
+            )
+            await self._sleep(wait)  # awaited, never blocking
+        else:  # REPLACE: abandon the broken pool; siblings' shards go too
+            old, self._pool = self._pool, _make_pool(
+                self._executor, self._workers, self._mp_context
+            )
+            old.shutdown(wait=False, cancel_futures=True)
+            self._pool_replacements += 1
+            metrics.inc("serve_pool_replacements_total")
+            self._obs.log.emit(
+                "pool_replaced", replacement=ledger.pool_replacements, **where
+            )
 
     # ------------------------------------------------------------ accounting
     def _release_admitted(self, req: ServeRequest) -> None:
@@ -841,11 +870,11 @@ class SpGEMMService:
             "uptime_s": (
                 time.perf_counter() - self._epoch if self._running else 0.0
             ),
-            "workers": self._bridge.workers,
-            "executor": self._bridge.executor,
+            "workers": self._workers,
+            "executor": self._executor,
             "backend": self._backend_name,
             "backend_tier": self._backend_tier.value,
-            "pool_replacements": self._bridge.pool_replacements,
+            "pool_replacements": self._pool_replacements,
             "queue": {
                 "depth": self._queue.depth,
                 "bound": self._queue.bound,

@@ -1,10 +1,14 @@
 """The sharded parallel engine: determinism, failure policy, batching, cache."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core import TileMatrix, tile_spgemm
-from repro.errors import InvalidInputError, TransientKernelError
+from repro.errors import DeviceOOMError, InvalidInputError, TransientKernelError
+from repro.formats.csr import CSRMatrix
 from repro.obs.context import make_obs, obs_context
 from repro.runtime.chunked import batch_bounds, chunked_tile_spgemm, stitch_results
 from repro.runtime.faults import FaultPlan
@@ -12,7 +16,6 @@ from repro.runtime.parallel import (
     parallel_tile_spgemm,
     resolve_executor,
     resolve_workers,
-    spgemm_batch,
 )
 from repro.runtime.policy import ParallelPolicy
 from repro.runtime.tilecache import (
@@ -106,6 +109,42 @@ class TestByteIdentity:
         for batches in (3, 8):
             res = chunked_tile_spgemm(a, b, num_batches=batches)
             assert_bytes_identical(serial.c, res.c)
+
+    @pytest.mark.parametrize("engine", ["chunked", "thread", "spawn"])
+    def test_over_budget_shards_split_and_stay_identical(self, engine):
+        # The top two tile rows hold most of the work, so the upper half
+        # shard alone needs ~70% of the whole run's peak: a 0.6x budget
+        # makes it OOM, and the shard ledger halves it until it fits.
+        rs = np.random.default_rng(19)
+        top = sp.random(32, 160, density=0.3, random_state=rs)
+        rest = sp.random(128, 160, density=0.02, random_state=rs)
+        a = _tiled(CSRMatrix.from_scipy(sp.vstack([top, rest]).tocsr()))
+        clean = tile_spgemm(a, a)
+        budget = int(clean.alloc.peak_bytes * 0.6)
+        with pytest.raises(DeviceOOMError):
+            tile_spgemm(a, a, budget_bytes=budget)
+        if engine == "chunked":
+            res = chunked_tile_spgemm(a, a, num_batches=2, budget_bytes=budget)
+            pieces = res.stats["batches"]
+        else:
+            res = parallel_tile_spgemm(
+                a,
+                a,
+                workers=2,
+                shards=2,
+                executor="thread" if engine == "thread" else "process",
+                mp_context=(
+                    multiprocessing.get_context("spawn") if engine == "spawn" else None
+                ),
+                budget_bytes=budget,
+            )
+            assert "parallel_fallback" not in res.stats
+            pieces = res.stats["shards"]
+        assert_bytes_identical(clean.c, res.c)
+        # The stitched ledger replays each piece under its own prefix.
+        stitched = {ev.label.split("/")[0] for ev in res.alloc.events}
+        assert pieces == len(stitched) > 2
+        assert res.alloc.peak_bytes <= budget
 
     def test_drop_empty_tiles_consistent(self, operands):
         a, b = operands
@@ -282,46 +321,6 @@ class TestObservability:
             assert sp.end_s >= sp.start_s
 
 
-class TestSpgemmBatch:
-    def test_order_and_identity(self):
-        mats = [random_csr(90, 90, 0.08, seed=s) for s in (51, 52, 53)]
-        pairs = [(mats[0], mats[1]), (mats[1], mats[2]), (mats[2], mats[0])]
-        refs = [tile_spgemm(_tiled(x), _tiled(y)) for x, y in pairs]
-        out = spgemm_batch(pairs, workers=3, executor="thread")
-        assert len(out) == 3
-        for ref, got in zip(refs, out):
-            assert_bytes_identical(ref.c, got.c)
-
-    def test_serial_batch(self):
-        a = random_csr(60, 60, 0.1, seed=54)
-        out = spgemm_batch([(a, a)], workers=1)
-        assert out[0].c.to_csr().allclose(scipy_product(a, a))
-
-    def test_repeated_operands_tile_once(self):
-        reset_tile_cache()
-        a = random_csr(80, 80, 0.1, seed=55)
-        b = random_csr(80, 80, 0.1, seed=56)
-        spgemm_batch([(a, b), (a, a), (b, b), (b, a)], workers=2, executor="thread")
-        stats = get_tile_cache().stats()
-        assert stats["misses"] == 2  # a and b each tiled exactly once
-        assert stats["hits"] == 6
-
-    def test_batch_task_fault_falls_back_per_task(self):
-        a = random_csr(70, 70, 0.1, seed=57)
-        ref = tile_spgemm(_tiled(a), _tiled(a))
-        plan = FaultPlan().transient_at_step(match="step3", at=1)
-        out = spgemm_batch(
-            [(a, a), (a, a)],
-            workers=2,
-            executor="thread",
-            policy=ParallelPolicy(max_shard_retries=0),
-            fault_plan=plan,
-        )
-        assert len(out) == 2
-        for got in out:
-            assert_bytes_identical(ref.c, got.c)
-
-
 class TestTileCache:
     def test_hit_on_identical_content(self):
         cache = TileCache(capacity=4)
@@ -484,7 +483,9 @@ class TestPlanner:
         from repro.runtime.planner import plan_execution
 
         a, b = operands
-        plan = plan_execution(a, b, shard_products=10_000)
+        # One worker pinned: REPRO_WORKERS (set by the process-pool CI
+        # job) must not turn this into a parallel plan.
+        plan = plan_execution(a, b, workers=1, shard_products=10_000)
         assert plan.mode == "chunked"
         assert plan.workers == 1 and plan.shards > 1
         res = parallel_tile_spgemm(a, b, plan=plan)

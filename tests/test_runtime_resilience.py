@@ -252,6 +252,14 @@ class TestBudgetDrivenChunking:
             run_resilient(a, a, budget_bytes=16)
         assert isinstance(excinfo.value.__cause__, DeviceOOMError)
 
+    def test_unsplittable_batch_reraises_oom_for_the_ladder(self):
+        # Chunked execution halves an over-budget batch down to one tile
+        # row; a single tile row that still OOMs re-raises the typed
+        # error, so run_resilient's ladder keeps walking.
+        a = _tiled()
+        with pytest.raises(DeviceOOMError):
+            chunked_tile_spgemm(a, a, num_batches=2, budget_bytes=16)
+
     def test_chunked_respects_explicit_batches(self):
         a = _tiled(seed=2, n=128)
         res = chunked_tile_spgemm(a, a, num_batches=4)

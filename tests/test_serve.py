@@ -412,6 +412,17 @@ class TestServeCLI:
         )
         assert code == EXIT_DEADLINE
 
+    @pytest.mark.parametrize(
+        "flag", ["--workers", "--queue-depth", "--initial-shards"]
+    )
+    def test_bad_service_setting_is_typed_exit_3(self, capsys, flag):
+        code = serve_main(
+            ["load", "--rate", "50", "--requests", "2", flag, "0"]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_dispatch_through_main(self, capsys):
         from repro.cli import main
 

@@ -18,6 +18,7 @@ submissions.
 
 import asyncio
 import time
+from concurrent.futures import BrokenExecutor
 
 import numpy as np
 import pytest
@@ -29,10 +30,10 @@ from repro.errors import (
     ServiceOverloadError,
 )
 from repro.obs.context import make_obs, obs_context
+from repro.runtime.chunked import _run_shard as default_run_shard
 from repro.runtime.faults import FaultPlan
 from repro.runtime.policy import ParallelPolicy, RetryPolicy, backoff_wait
 from repro.serve import OUTCOMES, SpGEMMService
-from repro.serve.worker import BrokenExecutor, default_run_shard
 from tests.conftest import random_csr
 
 
