@@ -1,10 +1,10 @@
 """Pluggable kernel-backend registry for the TileSpGEMM pipeline.
 
-The three-step pipeline funnels its hot inner work through the five
+The three-step pipeline funnels its hot inner work through the six
 kernels of a :class:`~repro.backend.base.KernelSet` (mask OR-accumulate,
-popcount, popcount rank, scatter-add accumulate, tile compaction); this
-module maps *names* onto kernel sets so the same pipeline can run on any
-registered implementation::
+popcount, popcount rank, scatter-add accumulate, tile compaction,
+dense-tile accumulate); this module maps *names* onto kernel sets so the
+same pipeline can run on any registered implementation::
 
     from repro.backend import list_backends, use_backend
     from repro.core import tile_spgemm

@@ -1,6 +1,6 @@
 """The ``KernelSet`` contract: the hot inner kernels of the tile pipeline.
 
-TileSpGEMM's three steps spend essentially all of their time in four
+TileSpGEMM's three steps spend essentially all of their time in a few
 primitive kernels, and everything else (pair enumeration, chunking,
 stitching, bookkeeping) is orchestration around them:
 
@@ -13,9 +13,13 @@ stitching, bookkeeping) is orchestration around them:
 * **scatter-add numeric accumulate** (:meth:`KernelSet.scatter_add_into`)
   — step 3's ``AtomicAdd`` over expanded products;
 * **tile compaction** (:meth:`KernelSet.nth_set_bit`) — converting the
-  symbolic masks back into compacted local column indices.
+  symbolic masks back into compacted local column indices;
+* **dense-tile accumulate** (:meth:`KernelSet.dense_tile_accumulate`) —
+  step 3's path for dense C tiles: ordered ``T×T`` outer products of
+  densified ``A`` and ``B`` tiles.  The base class supplies a NumPy
+  implementation, so a backend only overrides it to speed it up.
 
-A *backend* is one implementation of these five methods.  The registry
+A *backend* is one implementation of these six methods.  The registry
 (:mod:`repro.backend`) lets the same pipeline run on any of them, and the
 conformance suite (``tests/test_backend_conformance.py``) enforces the
 contract below.
@@ -61,7 +65,14 @@ close:
   input-order partial sums and the separate final add are observable in
   the float64 results; a backend that adds directly into ``out`` (or
   reassociates the partial sums) produces values that differ in the last
-  ulp and fails conformance.
+  ulp and fails conformance;
+* ``dense_tile_accumulate(acc, a_tiles, b_tiles, pair_tile)`` must equal
+  the plain loop: for each pair ``p`` in input order, for ``c = 0..T-1``,
+  ``acc[pair_tile[p]] += a_tiles[p][:, c, None] * b_tiles[p][c, None, :]``
+  — the product rounded in the tiles' dtype, then widened to float64 and
+  added.  That is the order in which ``scatter_add_into`` sums a tile's
+  expanded products, which is what lets step 3 choose either path per
+  tile without changing a bit.
 
 Every kernel invocation ticks ``KernelSet.calls[<kernel>]``; the tests
 and benches use the counters to prove which backend actually executed.
@@ -91,6 +102,7 @@ KERNEL_NAMES = (
     "prefix_popcount",
     "nth_set_bit",
     "scatter_add_into",
+    "dense_tile_accumulate",
 )
 
 
@@ -163,9 +175,10 @@ DEFAULT_FAST_MATH_TOLERANCE = ValueTolerance(max_ulp=1024, rtol=1e-11)
 class KernelSet:
     """Base class for a named set of TileSpGEMM inner kernels.
 
-    Subclasses set :attr:`name` and implement the five kernels; the
-    module docstring states the exact conformance contract.  The base
-    class only provides the per-kernel call counters.
+    Subclasses set :attr:`name` and implement the five mask, bit and
+    scatter kernels; the module docstring states the exact conformance
+    contract.  The base class provides the per-kernel call counters and
+    the NumPy :meth:`dense_tile_accumulate`.
     """
 
     #: Registry name of the backend (``numpy``, ``pyloops``, ...).
@@ -228,6 +241,50 @@ class KernelSet:
         docstring's conformance contract.
         """
         raise NotImplementedError
+
+    def dense_tile_accumulate(
+        self,
+        acc: np.ndarray,
+        a_tiles: np.ndarray,
+        b_tiles: np.ndarray,
+        pair_tile: np.ndarray,
+    ) -> None:
+        """Accumulate ordered outer products of dense tiles (step 3).
+
+        ``acc`` is ``(num_tiles, T, T)`` float64; ``a_tiles`` and
+        ``b_tiles`` are ``(num_pairs, T, T)`` in the product dtype; pair
+        ``p`` adds into ``acc[pair_tile[p]]``.  For each pair in input
+        order and each ``c = 0..T-1``: ``acc[t] += a[:, c, None] *
+        b[c, None, :]``, the product rounded in the tiles' dtype.
+
+        The pairs are processed rank by rank — the k-th pair of every
+        tile together — so each elementwise add touches a tile at most
+        once and each tile still sees its pairs in input order.
+        """
+        self._tick("dense_tile_accumulate")
+        n = pair_tile.size
+        if n == 0:
+            return
+        order = np.argsort(pair_tile, kind="stable")
+        sorted_tiles = pair_tile[order]
+        starts = np.flatnonzero(np.r_[True, sorted_tiles[1:] != sorted_tiles[:-1]])
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n) - np.repeat(starts, np.diff(np.r_[starts, n]))
+        by_rank = np.argsort(rank, kind="stable")
+        rank_ptr = np.searchsorted(rank[by_rank], np.arange(int(rank.max()) + 2))
+        T = acc.shape[-1]
+        prod = np.empty((starts.size, T, T), dtype=np.result_type(a_tiles, b_tiles))
+        for k in range(rank_ptr.size - 1):
+            sel = by_rank[rank_ptr[k] : rank_ptr[k + 1]]
+            tiles = pair_tile[sel]
+            a_k = a_tiles[sel]
+            b_k = b_tiles[sel]
+            part = acc[tiles]
+            out = prod[: sel.size]
+            for c in range(T):
+                np.multiply(a_k[:, :, c, None], b_k[:, c, None, :], out=out)
+                part += out
+            acc[tiles] = part
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<KernelSet {self.name!r}>"

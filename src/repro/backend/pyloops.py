@@ -12,7 +12,11 @@ coincide.  It is deliberately slow (orders of magnitude behind
   fresh zero buffer and then adds the buffer onto ``out`` — the same
   IEEE-754 operation sequence as ``out += np.bincount(...)``, which is
   what makes the float64 results match the reference exactly rather
-  than just closely.
+  than just closely;
+* ``dense_tile_accumulate`` runs the triple loop of the contract one
+  scalar at a time.  A product of two half- or single-precision values
+  is exact in a Python float, so rounding it once to the tiles' dtype
+  gives the same bits as NumPy's multiply in that dtype.
 """
 
 from __future__ import annotations
@@ -83,3 +87,23 @@ class PyLoopsKernelSet(KernelSet):
         ):
             buf[p] += w
         out += np.asarray(buf, dtype=out.dtype)
+
+    def dense_tile_accumulate(self, acc, a_tiles, b_tiles, pair_tile):
+        self._tick("dense_tile_accumulate")
+        dtype = np.result_type(a_tiles, b_tiles)
+        narrow = None if dtype == np.float64 else dtype.type
+        T = acc.shape[-1]
+        a_list = np.asarray(a_tiles).tolist()
+        b_list = np.asarray(b_tiles).tolist()
+        with np.errstate(over="ignore"):
+            for p, t in enumerate(np.asarray(pair_tile).tolist()):
+                a, b = a_list[p], b_list[p]
+                for r in range(T):
+                    for j in range(T):
+                        s = float(acc[t, r, j])
+                        for c in range(T):
+                            prod = a[r][c] * b[c][j]
+                            if narrow is not None:
+                                prod = float(narrow(prod))
+                            s += prod
+                        acc[t, r, j] = s

@@ -8,7 +8,8 @@
    size and allocate ``C`` (:mod:`repro.core.pairs`,
    :mod:`repro.core.step2`);
 3. **step 3** — the numeric phase with the adaptive sparse/dense
-   accumulator (:mod:`repro.core.step3`).
+   accumulator, dense tiles taking a byte-identical outer-product path
+   (:mod:`repro.core.step3`).
 
 Every run records the paper's observables: wall time per step and for
 memory allocation (Figures 10/14), a logical device-allocation ledger
@@ -125,7 +126,9 @@ def tile_spgemm(
         ``"expand"`` for the vectorised global pair enumeration, or
         ``"binary"`` / ``"merge"`` for the per-tile Algorithm 2 loops.
     force_accumulator:
-        ``"sparse"`` / ``"dense"`` disables adaptive selection (ablation).
+        ``"sparse"`` / ``"dense"`` disables adaptive selection (ablation)
+        and pins every tile to step 3's per-product path (see
+        :func:`repro.core.step3.step3_numeric`).
     keep_empty_tiles:
         Keep candidate tiles that end up with zero nonzeros, as the CUDA
         implementation does (they cost space but no correctness).
@@ -367,16 +370,6 @@ def collect_stats(
     ``products_per_tile`` — numeric work per candidate tile.
     """
     pairs_per_tile = np.diff(pairs.pair_ptr)
-    # Numeric products per candidate tile: rebuild from per-pair counts.
-    from repro.core.step3 import _pair_product_counts
-    from repro.util.bits import popcount16
-
-    b_row_len = popcount16(b.mask).astype(np.int64)
-    pair_products = _pair_product_counts(a, b_row_len, pairs, a.tile_nnz_counts())
-    products_per_tile = np.zeros(pairs.num_c_tiles, dtype=np.int64)
-    if pair_products.size:
-        np.add.at(products_per_tile, pairs.pair_c_slot(), pair_products)
-
     return {
         "num_products": num.num_products,
         "flops": num.num_products * 2,
@@ -394,7 +387,7 @@ def collect_stats(
         "nnz_b": b.nnz,
         "sparse_tiles": num.sparse_tiles,
         "dense_tiles": num.dense_tiles,
-        "products_per_tile": products_per_tile,
+        "products_per_tile": num.products_per_tile,
         "tile_nnz_counts": sym.tile_nnz_counts,
         "tile_use_dense": num.use_dense,
         "tile_size": a.tile_size,

@@ -17,6 +17,12 @@ Each case carries *tags* the suites filter on:
   contract: catastrophic cancellation and 10^6-scale magnitude spreads,
   where plain relative error is meaningless and comparisons must be
   scaled by ``Σ|products|`` (see :mod:`repro.analysis.ulp`).
+* ``"nonfinite"`` — full bands whose C tiles are dense enough for step
+  3's outer-product path, with one +inf, -inf or NaN entry (or, in fp16
+  mode, one 7e4 entry that overflows to inf).  A dense reference
+  multiplies 0 by inf in every gap, so these are judged against
+  ``scipy.sparse`` instead, which like the pipeline only forms the
+  products that exist.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import numpy as np
 
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
+from repro.matrices.generators import banded
 from tests.conftest import random_csr
 
 __all__ = [
@@ -42,6 +49,7 @@ __all__ = [
     "outer_product",
     "cancellation_tile_pair",
     "magnitude_spread",
+    "banded_with_entry",
 ]
 
 
@@ -136,6 +144,52 @@ def magnitude_spread(seed: int, n: int = 48, decades: int = 6) -> CSRMatrix:
     return CSRMatrix(base.shape, base.indptr, base.indices, vals)
 
 
+def banded_with_entry(n: int, half_bandwidth: int, at: int, value: float) -> CSRMatrix:
+    """A full band (values in [0.5, 1.5]) whose diagonal entry ``at`` is ``value``."""
+    m = banded(n, half_bandwidth, seed=500 + n).to_csr()
+    row = np.arange(m.indptr[at], m.indptr[at + 1])
+    val = m.val.copy()
+    val[row[m.indices[row] == at]] = value
+    return CSRMatrix(m.shape, m.indptr, m.indices, val)
+
+
+def _nonfinite_cases() -> List[CorpusCase]:
+    """Dense-tile bands with one non-finite entry each.
+
+    The entry sits in the only tile (n = 15, 16), in the 1×1 corner tile
+    (n = 17, so C's first tile keeps only finite pairs) or mid-band
+    (n = 300, so most tiles stay finite): the cases pin that a tile
+    pairing any non-finite operand tile never takes the outer-product
+    path, where a densified gap would turn 0·inf into NaN.
+    """
+    cases = []
+    for n, hbw, at, value in (
+        (15, 6, 3, np.inf),
+        (16, 6, 7, np.nan),
+        (17, 6, 16, -np.inf),
+        (300, 10, 150, np.inf),
+        (300, 10, 47, np.nan),
+    ):
+        m = banded_with_entry(n, hbw, at, value)
+        label = "nan" if np.isnan(value) else ("inf" if value > 0 else "neginf")
+        cases.append(
+            CorpusCase(f"banded_{n}_{label}", m, m, tags=frozenset({"nonfinite"}))
+        )
+    # 7e4 is finite in float64 but rounds to inf in half precision.
+    for n, hbw, at in ((16, 6, 5), (300, 10, 200)):
+        m = banded_with_entry(n, hbw, at, 7e4)
+        cases.append(
+            CorpusCase(
+                f"fp16_banded_{n}_overflow",
+                m,
+                m,
+                kwargs={"value_dtype": np.float16},
+                tags=frozenset({"fp16", "nonfinite"}),
+            )
+        )
+    return cases
+
+
 def _build_corpus() -> Dict[str, CorpusCase]:
     dup = dup_coo()
     cancel = cancelling_coo()
@@ -209,6 +263,7 @@ def _build_corpus() -> Dict[str, CorpusCase]:
             kwargs={"value_dtype": np.float16},
             tags=frozenset({"fp16", "stress"}),
         ),
+        *_nonfinite_cases(),
     ]
     return {case.name: case for case in cases}
 

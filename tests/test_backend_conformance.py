@@ -166,6 +166,10 @@ def test_backend_kernels_actually_ran(backend):
     assert kernels.calls["mask_or_into"] > 0
     assert kernels.calls["popcount"] > 0
     assert kernels.calls["scatter_add_into"] > 0
+    # A full band's C tiles are dense: step 3 takes the outer-product path.
+    band = CORPUS["banded_300_nan"]
+    tile_spgemm(_tiled(band.a), _tiled(band.b), backend=kernels)
+    assert kernels.calls["dense_tile_accumulate"] > 0
 
 
 @pytest.mark.parametrize("backend", EXACT_BACKENDS)
@@ -628,12 +632,73 @@ def _scatter_inputs(seed=9, out_size=7, n=64):
     return pos, w
 
 
+def _dense_tile_inputs(seed, dtype, num_tiles=3, num_pairs=7, T=16):
+    """Dense tiles with gaps and cancelling magnitudes, pairs out of tile
+    order.  fp16 magnitudes stay below its overflow threshold."""
+    rng = np.random.default_rng(seed)
+    decades = 6 if dtype == np.float64 else 2
+
+    def tiles():
+        v = rng.uniform(-1, 1, size=(num_pairs, T, T)) * 10.0 ** rng.integers(
+            -decades, decades + 1, size=(num_pairs, T, T)
+        )
+        v[rng.random(v.shape) < 0.4] = 0.0
+        return v.astype(dtype)
+
+    return tiles(), tiles(), rng.integers(0, num_tiles, size=num_pairs)
+
+
 class TestKernelUnitConformance:
-    """The five kernels, compared numpy-vs-each-backend on raw arrays.
+    """The six kernels, compared numpy-vs-each-backend on raw arrays.
 
     Integer kernels (popcount, rank, compaction, mask OR) must be
     byte-identical in *both* tiers — only the float scatter-add may
     drift, and only for fast-math backends."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float16])
+    @pytest.mark.parametrize("backend", EXACT_BACKENDS)
+    def test_dense_tile_accumulate_is_the_scatter_order(self, backend, dtype):
+        """The contract: from zero, the same bits as scatter-adding only
+        the nonzero products in (pair, c) order — the per-product path
+        of step 3 — so the densified gaps add nothing."""
+        a, b, pair_tile = _dense_tile_inputs(11, dtype)
+        T = a.shape[-1]
+        got = np.zeros((3, T, T))
+        get_backend(backend).dense_tile_accumulate(got, a, b, pair_tile)
+        pos, w = [], []
+        for p, t in enumerate(pair_tile.tolist()):
+            for r in range(T):
+                for c in np.flatnonzero(a[p, r]):
+                    for j in np.flatnonzero(b[p, c]):
+                        pos.append((t * T + r) * T + j)
+                        w.append(float(a[p, r, c] * b[p, c, j]))
+        ref = np.zeros(3 * T * T)
+        get_backend("numpy").scatter_add_into(ref, np.asarray(pos), np.asarray(w))
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float16])
+    @pytest.mark.parametrize(
+        "backend", [n for n in NON_REFERENCE if n in EXACT_BACKENDS]
+    )
+    def test_dense_tile_accumulate_bit_identity(self, backend, dtype):
+        """Onto carried partial sums, with pairs of one tile interleaved
+        with other tiles' pairs: input order per tile is the contract."""
+        a, b, pair_tile = _dense_tile_inputs(12, dtype)
+        acc = np.random.default_rng(13).uniform(-1, 1, size=(3, 16, 16))
+        ref = acc.copy()
+        got = acc.copy()
+        get_backend("numpy").dense_tile_accumulate(ref, a, b, pair_tile)
+        get_backend(backend).dense_tile_accumulate(got, a, b, pair_tile)
+        assert ref.tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("backend", EXACT_BACKENDS)
+    def test_dense_tile_accumulate_empty_is_a_no_op(self, backend):
+        acc = np.ones((2, 16, 16))
+        empty = np.zeros((0, 16, 16))
+        get_backend(backend).dense_tile_accumulate(
+            acc, empty, empty, np.zeros(0, dtype=np.int64)
+        )
+        assert np.all(acc == 1.0)
 
     @pytest.mark.parametrize(
         "backend", [n for n in NON_REFERENCE if n in EXACT_BACKENDS]

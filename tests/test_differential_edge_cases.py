@@ -203,8 +203,10 @@ class TestAccumulatorThreshold:
 class TestSharedCorpus:
     """The full shared corpus through every CSR baseline."""
 
+    # Non-finite cases are judged against scipy in
+    # test_dense_tile_identity.py: a dense reference multiplies 0 by inf.
     @pytest.mark.parametrize(
-        "case_name", corpus_names(exclude_tags=("fp16", "stress"))
+        "case_name", corpus_names(exclude_tags=("fp16", "stress", "nonfinite"))
     )
     def test_all_methods_agree_on_corpus(self, case_name):
         case = CORPUS[case_name]
@@ -237,7 +239,10 @@ class TestSharedCorpus:
 
     @pytest.mark.parametrize(
         "case_name",
-        [n for n in corpus_names() if CORPUS[n].has("fp16")],
+        [
+            n for n in corpus_names(exclude_tags=("nonfinite",))
+            if CORPUS[n].has("fp16")
+        ],
     )
     def test_fp16_cases_structure_matches_float64(self, case_name):
         # The half-precision value mode perturbs values only: symbolic
