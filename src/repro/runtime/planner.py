@@ -24,7 +24,9 @@ that say whether operand conversion is already amortised.
   intermediate arrays scale with its product count, so sharding keeps
   the working set cache-resident and pays off even with one worker (the
   plan's ``"chunked"`` mode, executed serially through
-  :func:`~repro.runtime.chunked.chunked_tile_spgemm`).
+  :func:`~repro.runtime.chunked.chunked_tile_spgemm`).  A pool gets at
+  most :data:`MAX_SHARDS_PER_WORKER` shards per worker: more only adds
+  per-shard fixed cost.
   :func:`weighted_bounds` then equalises predicted products per shard
   instead of tile-row counts, so a power-law row distribution no longer
   leaves one straggler shard holding most of the work.
@@ -78,6 +80,7 @@ __all__ = [
     "weighted_bounds",
     "DEFAULT_SERIAL_PRODUCTS",
     "DEFAULT_SHARD_PRODUCTS",
+    "MAX_SHARDS_PER_WORKER",
 ]
 
 #: Predicted intermediate products below which one worker is the plan:
@@ -94,6 +97,14 @@ DEFAULT_SERIAL_PRODUCTS = 200_000
 #: this bar first and only then asks how many workers the machine can
 #: put under the shards.
 DEFAULT_SHARD_PRODUCTS = 1_000_000
+
+#: Most shards a pool plan gives each worker.  Past this the per-shard
+#: fixed cost (slicing A, step 3's scans of B, stitching) outweighs the
+#: balance more shards buy.  Measured on a 2-vCPU Xeon at 2 workers with
+#: the outer-product step 3 (medians of 11–21 interleaved runs): 8
+#: shards beat 4 on pdb1HYS, consph and pwtk (0.81–0.87×) and scircuit
+#: A·Aᵀ (0.89×), and 12–16 shards were no faster than 8 on any of them.
+MAX_SHARDS_PER_WORKER = 4
 
 #: Calibration correction is clamped to this factor range so one noisy
 #: calibration cell cannot push the planner to an extreme.
@@ -306,8 +317,8 @@ def plan_execution(
 
     # --- shard count: bound predicted products per shard (the shards
     # pay for themselves serially via cache residency, so this is
-    # independent of the worker count), then make sure a pool has at
-    # least _SHARDS_PER_WORKER shards per worker to balance stragglers.
+    # independent of the worker count), then give a pool between
+    # _SHARDS_PER_WORKER and MAX_SHARDS_PER_WORKER shards per worker.
     num_tile_rows = int(len(est.tile_row_products))
     if shards is None:
         chosen_shards = max(1, int(round(est.products / max(float(shard_products), 1.0))))
@@ -317,7 +328,10 @@ def plan_execution(
                 "products/shard keeps shard intermediates cache-resident"
             )
         if chosen_workers > 1:
-            chosen_shards = max(chosen_shards, chosen_workers * _SHARDS_PER_WORKER)
+            chosen_shards = min(
+                max(chosen_shards, chosen_workers * _SHARDS_PER_WORKER),
+                chosen_workers * MAX_SHARDS_PER_WORKER,
+            )
     else:
         chosen_shards = int(shards)
     num_shards = max(1, min(chosen_shards, max(num_tile_rows, 1)))

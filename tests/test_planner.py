@@ -62,6 +62,31 @@ class TestEstimator:
         dense = random_csr(80, 80, 0.4, seed=15)
         assert estimate_multiply(dense, dense).band == "8+"
 
+    @pytest.mark.parametrize("tile_size", [8, 16, 32])
+    @pytest.mark.parametrize("sample_rows", [5, 64, 10_000])
+    def test_mask_unions_match_the_element_unions(self, tile_size, sample_rows):
+        # Dense tiles take the row-mask union, hypersparse ones the
+        # per-element union; CSR operands always take the latter.  Both
+        # must give identical estimates, exact at full sample.
+        from repro.analysis.estimate import _csr_view, _mask_row_unions
+        from repro.matrices import generators
+
+        band = generators.banded(300, 12, fill=0.7, seed=20).to_csr()
+        sparse = random_csr(600, 600, 0.004, seed=21)
+        for m, mask_path in ((band, True), (sparse, False)):
+            for b in (m, m.transpose()):
+                at = TileMatrix.from_csr(m, tile_size)
+                bt = TileMatrix.from_csr(b, tile_size)
+                e_csr = estimate_multiply(m, b, sample_rows=sample_rows, tile_size=tile_size)
+                e_tiled = estimate_multiply(at, bt, sample_rows=sample_rows)
+                assert e_tiled.to_dict() == e_csr.to_dict()
+                assert np.array_equal(e_tiled.tile_row_products, e_csr.tile_row_products)
+                sampled = np.arange(min(sample_rows, m.shape[0]), dtype=np.int64)
+                got = _mask_row_unions(at, bt, sampled, np.diff(_csr_view(bt)[0]))
+                assert (got is not None) == mask_path
+                if sample_rows >= m.shape[0]:
+                    assert e_tiled.est_nnz_c == scipy_product(m, b).nnz
+
     def test_estimate_to_dict_native(self):
         import json
 
@@ -231,6 +256,23 @@ class TestPlannerComparison:
         )
         with pytest.raises(ValueError):
             planner_comparison(doc)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pool_plans_cap_shards_per_worker(self, workers):
+        # products / shard_products sets the shard count, clamped to
+        # [2, 4] shards per worker when a pool runs the plan; a
+        # one-worker chunked plan keeps the uncapped count.
+        from repro.runtime.planner import MAX_SHARDS_PER_WORKER, plan_execution
+
+        a = TileMatrix.from_csr(random_csr(640, 640, 0.03, seed=24))
+        products = estimate_multiply(a, a).products
+        for per_worker in (1, 3, 10):
+            bar = products // (workers * per_worker)
+            plan = plan_execution(a, a, workers=workers, shard_products=bar)
+            want = min(max(workers * per_worker, 2 * workers), workers * MAX_SHARDS_PER_WORKER)
+            assert (plan.mode, plan.workers, plan.shards) == ("parallel", workers, want)
+        chunked = plan_execution(a, a, workers=1, shard_products=products // 30)
+        assert (chunked.mode, chunked.shards) == ("chunked", 30)
 
     def test_planned_adapter_registered_and_identical(self):
         from repro.baselines import get_algorithm
