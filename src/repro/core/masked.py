@@ -20,39 +20,25 @@ validated against dense masking in the tests.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
 
-from repro.core.pairs import TilePairs, enumerate_pairs_expand
-from repro.core.step2 import SymbolicResult, step2_symbolic
+from repro.core.pairs import enumerate_pairs_expand, subset_pairs
+from repro.core.step2 import mask_structure, step2_symbolic
 from repro.core.step3 import step3_numeric
 from repro.core.tile_matrix import TileMatrix
-from repro.core.tilespgemm import TileSpGEMMResult, _tileptr_from_rows, collect_stats
-from repro.core.step1 import TileLayout
+from repro.core.tilespgemm import (
+    TileSpGEMMResult,
+    _tileptr_from_rows,
+    collect_stats,
+    layout_from_pairs,
+)
 from repro.util.alloc import AllocationTracker
-from repro.util.bits import popcount16
 from repro.util.timing import PhaseTimer
 
 __all__ = ["masked_tile_spgemm"]
-
-
-def _subset_pairs(pairs: TilePairs, keep: np.ndarray) -> TilePairs:
-    """Restrict a pair set to the candidate tiles selected by ``keep``."""
-    counts = np.diff(pairs.pair_ptr)
-    pair_keep = np.repeat(keep, counts)
-    new_counts = counts[keep]
-    pair_ptr = np.zeros(int(keep.sum()) + 1, dtype=np.int64)
-    np.cumsum(new_counts, out=pair_ptr[1:])
-    return TilePairs(
-        c_tilerow=pairs.c_tilerow[keep],
-        c_tilecol=pairs.c_tilecol[keep],
-        pair_ptr=pair_ptr,
-        pair_a=pairs.pair_a[pair_keep],
-        pair_b=pairs.pair_b[pair_keep],
-        len_a=pairs.len_a[keep],
-        len_b=pairs.len_b[keep],
-    )
 
 
 def masked_tile_spgemm(
@@ -112,7 +98,7 @@ def masked_tile_spgemm(
             if mask_key.size
             else np.zeros(cand_key.size, dtype=bool)
         )
-        pairs = _subset_pairs(pairs, keep)
+        pairs = subset_pairs(pairs, np.repeat(keep, np.diff(pairs.pair_ptr)), keep)
         mask_tile_of_cand = pos[keep]  # index into mask's tile arrays
     with timer.phase("malloc"):
         alloc.alloc("tilePtr_C", (a.num_tile_rows + 1) * 4)
@@ -123,20 +109,10 @@ def masked_tile_spgemm(
     with timer.phase("step2"):
         sym = step2_symbolic(a, b, pairs)
         sym.mask &= mask.mask[mask_tile_of_cand]
-        counts_per_row = popcount16(sym.mask).astype(np.int64)
-        rowptr = np.zeros_like(counts_per_row)
-        if counts_per_row.size:
-            np.cumsum(counts_per_row[:, :-1], axis=1, out=rowptr[:, 1:])
-        sym = SymbolicResult(
-            mask=sym.mask,
-            rowptr=rowptr.astype(sym.rowptr.dtype),
-            tilennz=np.concatenate(
-                [[0], np.cumsum(counts_per_row.sum(axis=1))]
-            ).astype(np.int64),
-            tile_nnz_counts=counts_per_row.sum(axis=1),
-            symbolic_ops=sym.symbolic_ops,
-            pair_a_nnz=sym.pair_a_nnz,
-        )
+        # The productive pairs and their product counts carry over: step 3
+        # still forms every product and drops the masked-away ones.
+        rowptr, tilennz, tile_counts = mask_structure(sym.mask)
+        sym = replace(sym, rowptr=rowptr, tilennz=tilennz, tile_nnz_counts=tile_counts)
     with timer.phase("malloc"):
         alloc.alloc("tileNnz_C", (pairs.num_c_tiles + 1) * 4)
         alloc.alloc("mask_C", pairs.num_c_tiles * T * sym.mask.dtype.itemsize)
@@ -163,13 +139,7 @@ def masked_tile_spgemm(
     if not keep_empty_tiles:
         c = c.drop_empty_tiles()
 
-    layout = TileLayout(
-        num_tile_rows=a.num_tile_rows,
-        num_tile_cols=max(b.num_tile_cols, 1),
-        tileptr=_tileptr_from_rows(pairs.c_tilerow, a.num_tile_rows),
-        tilecolidx=pairs.c_tilecol,
-        tile_flops=0,
-    )
+    layout = layout_from_pairs(pairs, a.num_tile_rows, max(b.num_tile_cols, 1), 0)
     stats = collect_stats(a, b, pairs, sym, num, layout)
     stats["masked"] = True
     return TileSpGEMMResult(

@@ -33,7 +33,7 @@ from repro.core.intersect import intersect
 from repro.core.tile_matrix import TileMatrix
 from repro.util.arrays import concat_ranges, segment_ids
 
-__all__ = ["TilePairs", "enumerate_pairs_expand", "enumerate_pairs_intersect"]
+__all__ = ["TilePairs", "enumerate_pairs_expand", "enumerate_pairs_intersect", "subset_pairs"]
 
 
 @dataclass
@@ -74,6 +74,33 @@ class TilePairs:
     def pair_c_slot(self) -> np.ndarray:
         """For each pair, the index of its candidate C tile."""
         return segment_ids(np.diff(self.pair_ptr))
+
+
+def subset_pairs(
+    pairs: TilePairs, pair_keep: np.ndarray, tile_keep=slice(None)
+) -> TilePairs:
+    """The pairs ``pair_keep`` selects, under the candidate tiles ``tile_keep`` selects.
+
+    ``pair_keep`` is a boolean mask over the pairs; ``tile_keep`` one over
+    the candidate tiles (default: every tile stays, possibly with no
+    pairs left).  A dropped tile's pairs must be dropped too.  The kept
+    pairs keep their order, so each tile's pair sequence is a
+    subsequence of the original one.
+    """
+    kept = np.zeros(pairs.num_pairs + 1, dtype=np.int64)
+    np.cumsum(pair_keep, out=kept[1:])
+    counts = np.diff(kept[pairs.pair_ptr])[tile_keep]
+    pair_ptr = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=pair_ptr[1:])
+    return TilePairs(
+        c_tilerow=pairs.c_tilerow[tile_keep],
+        c_tilecol=pairs.c_tilecol[tile_keep],
+        pair_ptr=pair_ptr,
+        pair_a=pairs.pair_a[pair_keep],
+        pair_b=pairs.pair_b[pair_keep],
+        len_a=pairs.len_a[tile_keep],
+        len_b=pairs.len_b[tile_keep],
+    )
 
 
 def enumerate_pairs_expand(a: TileMatrix, b: TileMatrix) -> TilePairs:

@@ -172,9 +172,11 @@ def step3_numeric(
     a, b:
         Input tile matrices.
     pairs:
-        Matched tile pairs from step 2's intersection.
+        The matched tile pairs ``sym`` was computed from.  Only their
+        productive subset, ``sym.productive``, is multiplied.
     sym:
-        Symbolic structure of ``C`` from step 2.
+        Symbolic structure of ``C`` from step 2, with the productive
+        pairs and their product counts.
     tnnz:
         Accumulator-selection threshold.  ``None`` (the default) resolves
         to :func:`default_tnnz` — the paper's 192 for 16x16 tiles and the
@@ -229,7 +231,13 @@ def step3_numeric(
     else:
         raise ValueError(f"force_accumulator must be 'sparse', 'dense' or None")
 
-    # --- per-pair product counts ----------------------------------------
+    # --- the productive pairs and their product counts, from step 2 ------
+    # The other matched pairs add no product to any tile, so skipping them
+    # changes neither a tile's product sequence nor where chunks split it.
+    if sym.productive.num_c_tiles != num_c:
+        raise ValueError("sym was not computed from these pairs")
+    pairs = sym.productive
+    pair_products = sym.pair_products
     # Row lengths of every B tile: popcount of its masks.
     b_row_len = kernels.popcount(b.mask).astype(np.int64)  # (num_tiles_B, T)
     # Global start of row c of B tile t: tilennz_B[t] + rowptr_B[t, c].
@@ -237,7 +245,6 @@ def step3_numeric(
 
     pair_c_slot = pairs.pair_c_slot()
     a_counts = a.tile_nnz_counts()
-    pair_products = _pair_product_counts(a, b_row_len, pairs, a_counts)
     pair_csum = np.zeros(pairs.num_pairs + 1, dtype=np.int64)
     np.cumsum(pair_products, out=pair_csum[1:])
     total_products = int(pair_csum[-1])
@@ -334,24 +341,6 @@ def step3_numeric(
     )
 
 
-def _pair_product_counts(
-    a: TileMatrix, b_row_len: np.ndarray, pairs: TilePairs, a_counts: np.ndarray
-) -> np.ndarray:
-    """Number of intermediate products generated by each matched pair."""
-    if pairs.num_pairs == 0:
-        return np.zeros(0, dtype=np.int64)
-    counts = np.zeros(pairs.num_pairs, dtype=np.int64)
-    # For pair p, sum over A-tile nonzeros (r, c) of len(B_tile row c).
-    # (np.add.at beats a float-weighted bincount here: 12 against 22 ms
-    # for mac_econ_fwd500's A·Aᵀ on NumPy 2.4.)
-    pair_a_nnz = a_counts[pairs.pair_a]
-    a_nnz_idx = concat_ranges(a.tilennz[pairs.pair_a], pair_a_nnz)
-    pair_of_nnz = np.repeat(np.arange(pairs.num_pairs, dtype=np.int64), pair_a_nnz)
-    lengths = b_row_len[pairs.pair_b[pair_of_nnz], a.colidx[a_nnz_idx].astype(np.int64)]
-    np.add.at(counts, pair_of_nnz, lengths)
-    return counts
-
-
 def _outer_product_tiles(
     a: TileMatrix,
     b: TileMatrix,
@@ -363,17 +352,18 @@ def _outer_product_tiles(
 ) -> Optional[np.ndarray]:
     """Which candidate tiles take the outer-product path (``None``: none).
 
-    A tile qualifies when its dense ratio reaches
-    :data:`OUTER_PRODUCT_RATIO`, when its products fit one chunk (a tile
-    the per-product loop splits sums each chunk separately, an order the
-    outer products do not reproduce), and when every ``A`` and ``B`` tile
-    it pairs is finite in ``value_dtype`` — a densified gap multiplies
-    0 by inf into a NaN where the per-product path has no product at all.
+    A tile qualifies when it has a pair, when its dense ratio over the
+    pairs it is given reaches :data:`OUTER_PRODUCT_RATIO`, when its
+    products fit one chunk (a tile the per-product loop splits sums each
+    chunk separately, an order the outer products do not reproduce), and
+    when every ``A`` and ``B`` tile it pairs is finite in ``value_dtype``
+    — a densified gap multiplies 0 by inf into a NaN where the
+    per-product path has no product at all.
     """
     T = a.tile_size
     pairs_per_tile = np.diff(pairs.pair_ptr)
     outer = products_per_tile >= OUTER_PRODUCT_RATIO * T**3 * pairs_per_tile
-    outer &= products_per_tile <= chunk_products
+    outer &= (pairs_per_tile > 0) & (products_per_tile <= chunk_products)
     if not outer.any():
         return None
     bad_pair = _nonfinite_tiles(a, value_dtype)[pairs.pair_a]
@@ -515,6 +505,8 @@ def _accumulate_chunk(
     prod_slot = slot_of_nnz[src]
     prod_r = r[src]
     prod_col = b.colidx[b_idx].astype(np.int64)
+    # Per-product arrays dominate step 3's memory: drop each once it is dead.
+    del src, b_idx
 
     if mask_filter:
         # Masked SpGEMM: drop products whose destination is outside the
@@ -527,17 +519,20 @@ def _accumulate_chunk(
         prod_r = prod_r[in_mask]
         prod_col = prod_col[in_mask]
 
+    # When every product goes one way, select with a slice: views, not copies.
     dense_sel = use_dense[prod_slot]
-    if dense_sel.any():
-        sel = dense_sel
+    any_dense, all_dense = bool(dense_sel.any()), bool(dense_sel.all())
+    if any_dense:
+        sel = slice(None) if all_dense else dense_sel
         pos = (
             dense_slot[prod_slot[sel]] * T * T
             + prod_r[sel] * T
             + prod_col[sel]
         )
         kernels.scatter_add_into(dense_buf, pos, products[sel])
-    if not dense_sel.all():
-        sel = ~dense_sel
+        del pos
+    if not all_dense:
+        sel = ~dense_sel if any_dense else slice(None)
         slot_s = prod_slot[sel]
         r_s = prod_r[sel]
         col_s = prod_col[sel]

@@ -3,13 +3,15 @@
 ``tile_spgemm(A, B)`` runs:
 
 1. **step 1** — symbolic tile-level SpGEMM on the high-level layouts to
-   find the candidate tiles of ``C`` (:mod:`repro.core.step1`);
+   find the candidate tiles of ``C`` (:mod:`repro.core.step1`); on the
+   vectorised default path the layout is read off the pair enumeration
+   instead, so the tile level is expanded once;
 2. **step 2** — per-tile set intersection plus bit-mask symbolic phase to
    size and allocate ``C`` (:mod:`repro.core.pairs`,
-   :mod:`repro.core.step2`);
+   :mod:`repro.core.step2`), expanding only the pairs that make products;
 3. **step 3** — the numeric phase with the adaptive sparse/dense
-   accumulator, dense tiles taking a byte-identical outer-product path
-   (:mod:`repro.core.step3`).
+   accumulator over those pairs, dense tiles taking a byte-identical
+   outer-product path (:mod:`repro.core.step3`).
 
 Every run records the paper's observables: wall time per step and for
 memory allocation (Figures 10/14), a logical device-allocation ledger
@@ -212,10 +214,19 @@ def _tile_spgemm_under_context(
         # --------------------------------------------------------- step 1
         alloc.set_phase("step1")
         note_step("step1")
+        # On the vectorised path one tile-level expansion serves both steps:
+        # the sorted pair list's distinct targets are step 1's layout.
+        fused = step1_method == "expand" and intersect_method == "expand"
         with timer.phase("step1"), tracer.span("step1", cat="step", method=step1_method):
-            layout = step1_tile_layout(
-                a.tile_pattern_csr(), b.tile_pattern_csr(), method=step1_method
-            )
+            if fused:
+                pairs = enumerate_pairs_expand(a, b)
+                layout = layout_from_pairs(
+                    pairs, a.num_tile_rows, max(b.num_tile_cols, 1), pairs.num_pairs
+                )
+            else:
+                layout = step1_tile_layout(
+                    a.tile_pattern_csr(), b.tile_pattern_csr(), method=step1_method
+                )
         with timer.phase("malloc"), tracer.span("malloc", cat="step"):
             alloc.alloc("tilePtr_C", layout.tileptr.size * 4)
             alloc.alloc("tileColIdx_C", layout.num_tiles * 4)
@@ -226,17 +237,18 @@ def _tile_spgemm_under_context(
         with timer.phase("step2"), tracer.span(
             "step2", cat="step", method=intersect_method, backend=kernels.name
         ):
-            if intersect_method == "expand":
-                pairs = enumerate_pairs_expand(a, b)
-            else:
-                pairs = enumerate_pairs_intersect(
-                    a,
-                    b,
-                    c_tilerow=layout.tile_rowidx(),
-                    c_tilecol=layout.tilecolidx,
-                    method=intersect_method,
-                )
-            _check_layout_matches(layout, pairs)
+            if not fused:
+                if intersect_method == "expand":
+                    pairs = enumerate_pairs_expand(a, b)
+                else:
+                    pairs = enumerate_pairs_intersect(
+                        a,
+                        b,
+                        c_tilerow=layout.tile_rowidx(),
+                        c_tilecol=layout.tilecolidx,
+                        method=intersect_method,
+                    )
+                _check_layout_matches(layout, pairs)
             sym = step2_symbolic(a, b, pairs, backend=kernels)
         with timer.phase("malloc"), tracer.span("malloc", cat="step"):
             alloc.alloc("tileNnz_C", (pairs.num_c_tiles + 1) * 4)
@@ -338,6 +350,26 @@ def _tileptr_from_rows(tile_rows: np.ndarray, num_tile_rows: int) -> np.ndarray:
     if tile_rows.size:
         np.cumsum(np.bincount(tile_rows, minlength=num_tile_rows), out=tileptr[1:])
     return tileptr
+
+
+def layout_from_pairs(
+    pairs: TilePairs, num_tile_rows: int, num_tile_cols: int, tile_flops: int
+) -> TileLayout:
+    """Step 1's tile layout read off a pair enumeration.
+
+    The pairs' candidate tiles are row-major sorted and unique, exactly
+    the tile-level symbolic product's output; with ``tile_flops =
+    pairs.num_pairs`` (every A' tile joined with each tile of B''s tile
+    row, before deduplication) this equals ``step1_tile_layout(...,
+    "expand")``.
+    """
+    return TileLayout(
+        num_tile_rows=num_tile_rows,
+        num_tile_cols=num_tile_cols,
+        tileptr=_tileptr_from_rows(pairs.c_tilerow, num_tile_rows),
+        tilecolidx=pairs.c_tilecol,
+        tile_flops=tile_flops,
+    )
 
 
 def _check_layout_matches(layout: TileLayout, pairs: TilePairs) -> None:
